@@ -105,22 +105,18 @@ pub struct Switch {
     /// historical behavior). Set from the run's `FaultPlan`.
     max_queue_cells: Option<u32>,
     /// Output-queue depth (cells) above which departing cells carry an
-    /// ECN mark (`None` = never mark). Marking is per-port state only,
-    /// so it is partition-invariant under the sharded engine (every cell
-    /// for a port is routed on that port's owning shard).
+    /// ECN mark (`None` = never mark). Marking reads per-port state
+    /// only.
     ecn_threshold: Option<u32>,
     unrouted: Counter,
     overflow_dropped: Counter,
     ecn_marked: Counter,
     /// Instantaneous backlog (in cell times) of the port a cell was just
     /// queued on — a last-writer gauge the telemetry plane samples into
-    /// a queue-depth time series. Partition-*dependent* (which write is
-    /// last depends on shard interleaving), so the semantic snapshot
-    /// strips it; the high-water companion below is the invariant form.
+    /// a queue-depth time series; the high-water companion below is its
+    /// end-of-run summary.
     queue_depth: Gauge,
-    /// Largest backlog any `depart` ever observed, in cells. Invariant
-    /// under the sharded engine's gauge-max merge, so it stays in the
-    /// semantic snapshot.
+    /// Largest backlog any `depart` ever observed, in cells.
     queue_high_water: Gauge,
     hw_cells: u64,
 }
@@ -205,9 +201,9 @@ impl Switch {
     }
 
     /// The installed port-block base for `vci`, if any — the routing
-    /// *decision* without the routing *side effects*. The sharded
-    /// engine uses this to pick the owning shard of a cell in flight
-    /// before the stateful forward happens at arrival time.
+    /// *decision* without the routing *side effects* (no queueing, no
+    /// counters), so callers can inspect a route table without
+    /// disturbing a run.
     pub fn lane_route_base(&self, vci: Vci) -> Option<usize> {
         self.lane_routes.get(&vci).copied()
     }

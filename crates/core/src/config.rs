@@ -123,7 +123,8 @@ pub struct TestbedConfig {
     /// buffers reclaimed, and the VCI unwedged (`None` = never, the
     /// paper's behaviour).
     pub reassembly_timeout: Option<SimDuration>,
-    /// Simulation-kernel observability sizing (trace ring, timeline).
+    /// Simulation-kernel settings: timeline and series sizing, sampling
+    /// period, fault plan, and event-queue backend.
     pub sim: SimConfig,
 }
 

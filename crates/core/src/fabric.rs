@@ -52,9 +52,8 @@ pub trait Fabric: std::fmt::Debug {
 
     /// The destination node a cell leaving `from` would be routed to —
     /// the pure routing decision, with none of `route`'s side effects
-    /// (no queueing, no counters). The dispatcher uses this to address
-    /// an in-flight cell to its destination's shard; the stateful
-    /// `route` then runs there, at arrival time.
+    /// (no queueing, no counters), so a built fabric's route table can
+    /// be checked from outside without disturbing a run.
     fn peek_dest(&self, from: NodeId, cell: &Cell) -> Option<NodeId>;
 
     /// Whether routing passes through a stateful switch. When true, the
@@ -86,8 +85,9 @@ fn build_links(cfg: &TestbedConfig, n: usize, registry: &Registry) -> Vec<Stripe
             // Per-node jitter stream, derived without cloning the config.
             link.reseed(cfg.seed.wrapping_add(1000 + i as u64));
             // The fault seed comes from the pure (node, component)
-            // derivation, never from wiring or insertion order, so no
-            // fabric partitioning can perturb a node's fault stream.
+            // derivation, never from wiring or insertion order, so
+            // nothing else about the fabric can perturb a node's fault
+            // stream.
             link.set_fault_plan(&cfg.sim.faults, component_seed(i, FaultComponent::LinkTx));
             link
         })

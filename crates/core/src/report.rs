@@ -5,8 +5,6 @@ use std::fmt::Write as _;
 
 use osiris_sim::{HistSummary, SeriesDump, Snapshot, Stage};
 
-use crate::shard::RunOutcome;
-
 /// Renders a table with a header row and aligned columns.
 pub fn table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -181,21 +179,21 @@ pub fn stage_table(title: &str, stages: &[(Stage, HistSummary)], e2e: &HistSumma
 }
 
 /// Loud footer for any report whose numbers came off the timeline: a
-/// non-zero `*.timeline.dropped` / `*.trace.dropped` counter means the
-/// ring evicted records, so span trees and percentiles above are
-/// incomplete. Returns `None` when nothing was lost.
+/// non-zero `*.timeline.dropped` counter means the ring evicted
+/// records, so span trees and percentiles above are incomplete.
+/// Returns `None` when nothing was lost.
 pub fn dropped_spans_warning(snap: &Snapshot) -> Option<String> {
     let lost: u64 = snap
         .counters
         .iter()
-        .filter(|(k, _)| k.ends_with(".timeline.dropped") || k.ends_with(".trace.dropped"))
+        .filter(|(k, _)| k.ends_with(".timeline.dropped"))
         .map(|(_, &v)| v)
         .sum();
     (lost > 0).then(|| {
         format!(
             "WARN: {lost} spans dropped — ring capacity exceeded; \
              latency attribution above is incomplete \
-             (raise timeline_capacity/trace_capacity)"
+             (raise timeline_capacity)"
         )
     })
 }
@@ -248,46 +246,6 @@ pub fn series_summary(title: &str, dump: &SeriesDump) -> String {
         }
     );
     out
-}
-
-/// Renders the sharded engine's self-profile: per-shard dispatch
-/// counts, barrier rounds, wall-clock stall, ring pressure, and the
-/// closing `max/mean` imbalance headline the scale bench publishes.
-pub fn shard_profile(title: &str, out: &RunOutcome) -> String {
-    let rows: Vec<Vec<String>> = out
-        .per_shard
-        .iter()
-        .map(|s| {
-            vec![
-                s.shard.to_string(),
-                s.events_dispatched.to_string(),
-                s.events_scheduled.to_string(),
-                s.rounds.to_string(),
-                format!("{:.2}", s.barrier_stall_ns as f64 / 1e6),
-                format!("{:.0}", s.ring_high_water),
-                s.spills.to_string(),
-            ]
-        })
-        .collect();
-    let mut text = table(
-        title,
-        &[
-            "shard",
-            "dispatched",
-            "scheduled",
-            "rounds",
-            "stall ms",
-            "ring hw",
-            "spills",
-        ],
-        &rows,
-    );
-    let _ = writeln!(
-        text,
-        "  shard imbalance (max/mean dispatched): {:.3}",
-        out.shard_imbalance()
-    );
-    text
 }
 
 /// Formats `paper` vs `measured` with the ratio, for EXPERIMENTS.md rows.
@@ -386,6 +344,7 @@ mod tests {
         c.add(7);
         let warn = dropped_spans_warning(&reg.snapshot()).expect("must warn");
         assert!(warn.contains("WARN: 7 spans dropped"), "{warn}");
+        assert!(warn.ends_with("(raise timeline_capacity)"), "{warn}");
         // Unrelated `.dropped` counters stay out of the tally.
         reg.probe("node0").scoped("board").counter("dropped").add(9);
         let warn = dropped_spans_warning(&reg.snapshot()).unwrap();

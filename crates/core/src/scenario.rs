@@ -5,16 +5,18 @@
 //! run is complete). [`Scenario::build`] assembles the [`Testbed`];
 //! [`Scenario::launch`] additionally wraps it in a
 //! [`osiris_sim::Simulation`], attaches the event-queue probe, and seeds
-//! the initial events — the way every experiment starts.
+//! the initial events — the way every experiment starts;
+//! [`Scenario::run`] also runs it to completion.
 
 use osiris_adc::AdcManager;
 use osiris_atm::{CellSlab, Vci};
 use osiris_sim::stats::{DurationHistogram, LatencyStats, ThroughputMeter};
-use osiris_sim::{EventQueue, Registry, SimDuration, SimTime, Simulation, Timeline, Trace};
+use osiris_sim::{EventQueue, Registry, SeriesDump, SimDuration, SimTime, Simulation, Timeline};
 
 use crate::config::{Layer, TestbedConfig};
 use crate::fabric::{BackToBack, Fabric, SwitchedFabric};
 use crate::node::{Endpoint, HostNode, NodeId, Role};
+use crate::telemetry::{run_sampled, Sampler};
 use crate::testbed::{DispatchCounters, Event, TbSyms, Testbed};
 
 /// A topology + workload the testbed can assemble.
@@ -42,9 +44,8 @@ pub enum Scenario {
     },
     /// `pairs` independent source→sink streams through the switched
     /// fabric: node `2k` streams `cfg.messages` messages at node
-    /// `2k+1`. The embarrassingly-parallel counterpart to `Incast` —
-    /// every stream owns its own receiver, so this is the workload the
-    /// sharded engine's `scale` bench uses to measure speedup.
+    /// `2k+1`. The independent-streams counterpart to `Incast`: every
+    /// stream owns its own receiver.
     ManyPairs {
         /// Number of source→sink pairs (the fabric has `2 * pairs` nodes).
         pairs: usize,
@@ -201,7 +202,6 @@ impl Scenario {
         let n = self.node_count();
         let registry = Registry::new();
         let sim_probe = registry.probe("sim");
-        let trace = Trace::with_probe(cfg.sim.trace_capacity, &sim_probe);
         // Created before the nodes so every layer can hold a handle to
         // the one shared timeline (disabled until a caller opts in).
         let timeline = Timeline::with_probe(cfg.sim.timeline_capacity, &sim_probe);
@@ -284,7 +284,6 @@ impl Scenario {
             done: false,
             verify_failures: 0,
             adc: adc_mgrs,
-            trace,
             registry,
             timeline,
             cells,
@@ -353,32 +352,29 @@ impl Scenario {
         tb
     }
 
-    /// The scenario's initial events at time zero, in seeding order,
-    /// with each event tagged by the node it drives. Performs the
-    /// budget side effects (a seeded `AppSend` is message 1), so call
-    /// it exactly once per built testbed. Shared by the sequential
-    /// launch path and the per-shard replicas of the parallel engine —
-    /// both must seed identically for the runs to match.
-    pub(crate) fn seed_events(&self, tb: &mut Testbed) -> Vec<(NodeId, Event)> {
+    /// The scenario's initial events at time zero, in seeding order.
+    /// Performs the budget side effects (a seeded `AppSend` is message
+    /// 1), so call it exactly once per built testbed.
+    fn seed_events(&self, tb: &mut Testbed) -> Vec<Event> {
         match *self {
-            Scenario::Pair => vec![(NodeId(0), Event::AppSend { host: NodeId(0) })],
-            Scenario::RxBench => vec![(NodeId(0), Event::GenKick)],
+            Scenario::Pair => vec![Event::AppSend { host: NodeId(0) }],
+            Scenario::RxBench => vec![Event::GenKick],
             Scenario::TxBench | Scenario::FanOut { .. } => {
                 // The seeded AppSend is message 1.
                 tb.nodes[0].decrement_remaining();
-                vec![(NodeId(0), Event::AppSend { host: NodeId(0) })]
+                vec![Event::AppSend { host: NodeId(0) }]
             }
             Scenario::Incast { senders } => (0..senders)
                 .map(|s| {
                     tb.nodes[s].decrement_remaining();
-                    (NodeId(s), Event::AppSend { host: NodeId(s) })
+                    Event::AppSend { host: NodeId(s) }
                 })
                 .collect(),
             Scenario::ManyPairs { pairs } => (0..pairs)
                 .map(|k| {
                     let src = NodeId(2 * k);
                     tb.nodes[src.0].decrement_remaining();
-                    (src, Event::AppSend { host: src })
+                    Event::AppSend { host: src }
                 })
                 .collect(),
         }
@@ -395,21 +391,36 @@ impl Scenario {
         // can never change results.
         sim.queue = EventQueue::with_kind(sim.model.cfg.sim.queue);
         sim.queue.attach_probe(&sim.model.registry.probe("engine"));
-        for (_owner, ev) in self.seed_events(&mut sim.model) {
+        for ev in self.seed_events(&mut sim.model) {
             sim.queue.push(SimTime::ZERO, ev);
         }
         sim
     }
 
-    /// Runs the scenario to event-queue exhaustion under
-    /// `cfg.sim.shards` shards and returns the merged outcome:
-    /// `shards <= 1` is exactly [`Scenario::launch`] +
-    /// `run_to_completion` (the historical engine, untouched);
-    /// `shards >= 2` runs the conservative-lookahead parallel engine
-    /// (see [`crate::shard`]), which produces byte-identical semantic
-    /// snapshots by construction and by test.
-    pub fn run(&self, cfg: TestbedConfig) -> crate::shard::RunOutcome {
-        crate::shard::run_scenario(*self, cfg)
+    /// Runs the scenario to event-queue exhaustion: [`Scenario::launch`],
+    /// then [`run_sampled`] on the `cfg.sim.sample_every` grid when it
+    /// is set, else `run_to_completion`. Returns the finished simulation
+    /// and the sampled series (`None` with sampling off).
+    pub fn run(&self, cfg: TestbedConfig) -> (Simulation<Testbed>, Option<SeriesDump>) {
+        let mut sim = self.launch(cfg);
+        let tb = &sim.model;
+        let series = match tb.cfg.sim.sample_every {
+            Some(every) => {
+                let sampler = Sampler::new(
+                    &tb.registry,
+                    &tb.registry.probe("obs"),
+                    every,
+                    tb.cfg.sim.series_capacity,
+                );
+                run_sampled(&mut sim, &sampler);
+                Some(sampler.finish(sim.now()))
+            }
+            None => {
+                sim.run_to_completion();
+                None
+            }
+        };
+        (sim, series)
     }
 }
 
@@ -454,6 +465,26 @@ mod tests {
             assert!(tb.nodes[4].src_of_vci.contains_key(&Vci(100 + s)));
             assert_eq!(tb.nodes[4].tx_vci_of_host.get(&s), Some(&Vci(200 + s)));
         }
+    }
+
+    #[test]
+    fn many_pairs_streams_all_complete() {
+        let mut cfg = TestbedConfig::ds5000_200_udp();
+        cfg.msg_size = 4 * 1024;
+        cfg.messages = 2;
+        cfg.reassembly = osiris_atm::sar::ReassemblyMode::FourWay { lanes: 4 };
+        let (sim, series) = Scenario::ManyPairs { pairs: 4 }.run(cfg);
+        assert!(series.is_none(), "sampling is off by default");
+        assert!(sim.model.done, "every sink saw its messages");
+        assert_eq!(sim.model.verify_failures, 0);
+        let snap = sim.model.snapshot();
+        for k in 0..4 {
+            assert_eq!(
+                snap.counter(&format!("node{}.stack.delivered", 2 * k + 1)),
+                2
+            );
+        }
+        assert_eq!(sim.steps(), snap.counter("engine.events.scheduled"));
     }
 
     #[test]

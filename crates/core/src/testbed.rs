@@ -38,9 +38,7 @@ use osiris_atm::{CellRef, CellSlab};
 use osiris_host::driver::{interrupt_to_thread, DeliveredPdu, SendOutcome};
 use osiris_sim::obs::{Counter, Probe, Snapshot};
 use osiris_sim::stats::{DurationHistogram, LatencyStats, ThroughputMeter};
-use osiris_sim::{
-    EventQueue, Model, Registry, SimDuration, SimTime, SymId, Timeline, Trace, TraceCtx,
-};
+use osiris_sim::{EventQueue, Model, Registry, SimDuration, SimTime, SymId, Timeline, TraceCtx};
 
 use osiris_proto::stack::{ProtoConfig, ProtoStack, RxVerdict, TransportMode};
 
@@ -108,11 +106,6 @@ pub enum Event {
     FabricTransit {
         /// Transmitting node.
         from: NodeId,
-        /// Destination node (owner of the contended port block; the
-        /// sharded engine dispatches the event on its shard). For a
-        /// cell with no installed route this is `from` — the drop is
-        /// counted wherever the sender lives.
-        to: NodeId,
         /// Physical lane the cell rides.
         lane: usize,
         /// Slab handle of the in-flight cell.
@@ -132,27 +125,6 @@ pub enum Event {
         /// Node address.
         host: NodeId,
     },
-}
-
-impl Event {
-    /// The node whose private state this event's handler mutates — the
-    /// shard that must dispatch it under the parallel engine. `GenKick`
-    /// drives node 0's generator (see `Testbed::gen_kick`).
-    pub fn owner(&self) -> NodeId {
-        match *self {
-            Event::AppSend { host }
-            | Event::TxKick { host }
-            | Event::RxFlush { host, .. }
-            | Event::RxInterrupt { host }
-            | Event::RxDrain { host }
-            | Event::TxWake { host }
-            | Event::RxReapTick { host }
-            | Event::RetransTick { host } => host,
-            Event::CellArrival { to, .. } => to,
-            Event::FabricTransit { to, .. } => to,
-            Event::GenKick => NodeId(0),
-        }
-    }
 }
 
 /// Per-node interned track keys (see [`TbSyms`]).
@@ -224,13 +196,9 @@ impl TbSyms {
 }
 
 /// Per-event-type dispatch counters, registered under
-/// `engine.dispatch.<event>`. Every event is dispatched exactly once —
-/// on the one shard owning its node under the parallel engine, or on
-/// the single sequential queue — so these counters are
-/// partition-invariant: the merged sharded values equal the sequential
-/// ones, and the equivalence suite byte-compares them. They are the
-/// engine's own workload mix made registry-visible (and sampleable as
-/// rates by the telemetry plane).
+/// `engine.dispatch.<event>` and bumped once per dispatched event:
+/// the engine's own workload mix made registry-visible (and
+/// sampleable as rates by the telemetry plane).
 #[derive(Debug, Clone)]
 pub struct DispatchCounters {
     app_send: Counter,
@@ -306,9 +274,6 @@ pub struct Testbed {
     pub verify_failures: u64,
     /// ADC management, one per node (when `cfg.data_path == Adc`).
     pub adc: Vec<AdcManager>,
-    /// Optional event trace (smoltcp-style packet-dump facility);
-    /// disabled by default, enable with `trace.set_enabled(true)`.
-    pub trace: Trace,
     /// The shared metric registry every component publishes into, with
     /// per-node scopes (`node0.board.rx.cells`, `node1.bus.dma_words`).
     pub registry: Registry,
@@ -378,6 +343,44 @@ impl Testbed {
     /// the testbed's components registered.
     pub fn snapshot(&self) -> Snapshot {
         self.registry.snapshot()
+    }
+
+    /// The snapshot minus the keys that legitimately differ between two
+    /// runs of one event history: the sampler's own bookkeeping
+    /// (`obs.*`, present only with sampling on) and the event-queue
+    /// internals (`engine.queue.*`, backend-dependent). Byte-compare its
+    /// rendered JSON across queue backends and sampling on/off.
+    pub fn semantic_snapshot(&self) -> Snapshot {
+        let keep = |k: &String| !k.starts_with("obs.") && !k.starts_with("engine.queue.");
+        let mut s = self.snapshot();
+        s.counters.retain(|k, _| keep(k));
+        s.gauges.retain(|k, _| keep(k));
+        s.hists.retain(|k, _| keep(k));
+        s
+    }
+
+    /// A `BENCH_loss`-style one-line summary of the run: goodput, tail
+    /// latency, and the recovery and loss counters summed over nodes.
+    pub fn goodput_line(&self) -> String {
+        let s = self.snapshot();
+        let sum = |suffix: &str| -> u64 {
+            s.counters
+                .iter()
+                .filter(|(k, _)| k.ends_with(suffix))
+                .map(|(_, v)| *v)
+                .sum()
+        };
+        format!(
+            "goodput {:>7.1} Mbps, p99 {:>8.1} us, {} delivered, {} retrans, {} reaps, {} dropped, {} corrupted, {} gave up",
+            self.meter.mbps(),
+            self.latency_hist.percentile_us(0.99),
+            self.delivered_count,
+            sum("stack.retransmits"),
+            sum("board.rx.pdus_dropped_timeout"),
+            sum("link.cells_dropped"),
+            sum("link.cells_corrupted"),
+            sum("stack.gave_up"),
+        )
     }
 
     /// Every node's transmit link (fault-injection statistics).
@@ -615,20 +618,12 @@ impl Testbed {
             // wire-arrival time, not a call at transmit-kick time. The
             // switch's output queues then contend in arrival order —
             // the order the hardware sees — rather than in the order
-            // transmit batches happen to finish, and the contention
-            // resolves on the shard owning the destination's port block.
+            // transmit batches happen to finish.
             for (at, lane, r) in out.arrivals {
-                let to = self
-                    .fabric
-                    .peek_dest(host, self.cells.get(r))
-                    // No route installed: dispatch (and count the drop)
-                    // on the sender's own shard.
-                    .unwrap_or(host);
                 q.push(
                     at,
                     Event::FabricTransit {
                         from: host,
-                        to,
                         lane,
                         cell: r,
                     },
@@ -693,8 +688,6 @@ impl Testbed {
             if d.marked {
                 // ECN: remember the mark against the cell's connection;
                 // the receiving stack echoes it in its next block ack.
-                // Runs on the destination's shard (this event is addressed
-                // to `d.to`), so the set is partition-invariant.
                 let vci = self.cells.get(r).header.vci;
                 self.nodes[d.to.0].ecn_marks.insert(vci);
             }
@@ -1268,29 +1261,6 @@ impl Model for Testbed {
     type Event = Event;
 
     fn handle(&mut self, now: SimTime, ev: Event, q: &mut EventQueue<Event>) {
-        self.trace.emit(now, || match &ev {
-            Event::AppSend { host } => format!("app[{host}] send"),
-            Event::TxKick { host } => format!("tx[{host}] kick"),
-            Event::CellArrival { to, lane, cell } => {
-                let c = self.cells.get(*cell);
-                format!(
-                    "rx[{to}] cell vci={} seq={} lane={lane}{}",
-                    c.header.vci.0,
-                    c.aal.seq,
-                    if c.aal.eom { " EOM" } else { "" }
-                )
-            }
-            Event::FabricTransit { from, to, lane, .. } => {
-                format!("fabric[{from}->{to}] transit lane={lane}")
-            }
-            Event::RxFlush { host, gen } => format!("rx[{host}] flush gen={gen}"),
-            Event::RxInterrupt { host } => format!("intr[{host}] asserted"),
-            Event::RxDrain { host } => format!("drain[{host}] runs"),
-            Event::TxWake { host } => format!("wake[{host}] half-empty"),
-            Event::GenKick => "generator kick".to_string(),
-            Event::RxReapTick { host } => format!("reap[{host}] sweep"),
-            Event::RetransTick { host } => format!("rto[{host}] tick"),
-        });
         if self.timeline.is_enabled() {
             let s = &self.syms;
             match &ev {
@@ -1341,9 +1311,9 @@ impl Model for Testbed {
             }
             Event::TxKick { host } => self.tx_kick(now, host, q),
             Event::CellArrival { to, lane, cell } => self.cell_arrival(now, to, lane, cell, q),
-            Event::FabricTransit {
-                from, lane, cell, ..
-            } => self.fabric_transit(now, from, lane, cell, q),
+            Event::FabricTransit { from, lane, cell } => {
+                self.fabric_transit(now, from, lane, cell, q)
+            }
             Event::RxFlush { host, gen } => {
                 let node = &mut self.nodes[host.0];
                 node.rx.flush_pending(
@@ -1505,30 +1475,42 @@ mod tests {
     }
 
     #[test]
-    fn trace_captures_the_event_timeline() {
+    fn timeline_instants_capture_the_event_timeline() {
         let mut cfg = TestbedConfig::ds5000_200_atm();
         cfg.msg_size = 100;
         cfg.messages = 1;
-        let mut tb = Testbed::new_pair(cfg);
-        tb.trace.set_enabled(true);
+        let tb = Testbed::new_pair(cfg);
+        tb.timeline.set_enabled(true);
         let mut sim = Simulation::new(tb);
         sim.queue
             .push(SimTime::ZERO, Event::AppSend { host: NodeId(0) });
         assert!(sim.run_while(|m| !m.done));
-        let dump = sim.model.trace.dump();
-        for needle in [
-            "app[0] send",
-            "tx[0] kick",
-            "rx[1] cell",
-            "EOM",
-            "intr[1]",
-            "drain[1]",
+        let instants: Vec<_> = sim
+            .model
+            .timeline
+            .events()
+            .into_iter()
+            .filter(|e| e.dur.is_none())
+            .collect();
+        for (track, name) in [
+            ("node0.app", "send"),
+            ("node0.board.tx", "kick"),
+            ("node1.board.rx", "cell"),
+            ("node1.host", "intr"),
+            ("node1.host", "drain start"),
         ] {
-            assert!(dump.contains(needle), "trace missing {needle:?}:\n{dump}");
+            assert!(
+                instants.iter().any(|e| e.track == track && e.name == name),
+                "timeline missing {track} {name:?}"
+            );
         }
-        // Timestamps are non-decreasing.
-        let times: Vec<SimTime> = sim.model.trace.records().map(|(t, _)| t).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
+        // Dispatch instants are stamped in dispatch order.
+        let cells: Vec<SimTime> = instants
+            .iter()
+            .filter(|e| e.track == "node1.board.rx" && e.name == "cell")
+            .map(|e| e.at)
+            .collect();
+        assert!(cells.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

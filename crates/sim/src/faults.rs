@@ -133,8 +133,8 @@ pub enum FaultComponent {
 }
 
 /// The component seed for `component` of node `node` — a pure function
-/// of its arguments, independent of wiring or insertion order, so no
-/// partitioning of the fabric can perturb a component's fault stream.
+/// of its arguments, independent of wiring or insertion order, so
+/// nothing else about the fabric can perturb a component's fault stream.
 ///
 /// The `LinkTx` value is pinned to `2000 + node`: that is the seed the
 /// fabric builder has always fed `StripedLink::set_fault_plan`, and the
@@ -340,7 +340,7 @@ mod tests {
         assert_eq!(component_seed(63, FaultComponent::LinkTx), 2063);
 
         // The resulting stream is pinned too: wiring order, injector
-        // construction order, or fabric partitioning cannot perturb it,
+        // construction order, or fabric shape cannot perturb it,
         // because nothing but (plan.seed, node, component) enters the RNG.
         let plan = FaultPlan {
             lane_drop_prob: vec![0.25; 4],

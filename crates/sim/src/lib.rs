@@ -26,12 +26,10 @@ pub mod event;
 pub mod faults;
 pub mod json;
 pub mod obs;
-pub mod pdes;
 pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use event::{EventQueue, QueueKind};
 pub use faults::{
@@ -43,11 +41,9 @@ pub use obs::{
     CriticalPath, HistSummary, PduPath, Probe, Registry, Snapshot, Stage, SymId, Timeline,
     TimelineEvent, TraceCtx,
 };
-pub use pdes::{PushKey, ShardQueue};
 pub use resource::FifoResource;
 pub use rng::SimRng;
 pub use time::{Clock, SimDuration, SimTime};
-pub use trace::Trace;
 
 /// Simulation-kernel configuration shared by harnesses: the sizing knobs
 /// of the observability machinery plus the wire-level [`FaultPlan`]
@@ -55,8 +51,6 @@ pub use trace::Trace;
 /// `TestbedConfig`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Capacity of the human-readable [`Trace`] ring.
-    pub trace_capacity: usize,
     /// Capacity of the typed [`Timeline`] event buffer.
     pub timeline_capacity: usize,
     /// The seeded fault-injection plan (defaults to injecting nothing).
@@ -66,12 +60,6 @@ pub struct SimConfig {
     /// result — only how fast a run finishes. Defaults to the calendar
     /// queue.
     pub queue: QueueKind,
-    /// How many parallel shards the harness partitions the model into.
-    /// `1` (the default) is the exact single-threaded engine path;
-    /// `N ≥ 2` opts a scenario into the conservative-lookahead parallel
-    /// engine (see `osiris::shard`), which produces the same results —
-    /// the shard-equivalence suite holds it to byte-identical snapshots.
-    pub shards: usize,
     /// Period of the deterministic telemetry sampler
     /// ([`obs::series::SeriesSet`]) in simulated time; `None` (the
     /// default) disables sampling. Sampling is passive — it can never
@@ -83,14 +71,12 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     fn default() -> Self {
-        // 4096 matches the historical hardcoded trace ring; the timeline
-        // holds full spans (every event of a long ping-pong fits).
+        // The timeline holds full spans (every event of a long
+        // ping-pong fits).
         SimConfig {
-            trace_capacity: 4096,
             timeline_capacity: 1 << 16,
             faults: FaultPlan::default(),
             queue: QueueKind::default(),
-            shards: 1,
             sample_every: None,
             series_capacity: 4096,
         }
