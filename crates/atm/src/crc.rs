@@ -1,4 +1,4 @@
-//! CRC-32 (AAL5) and CRC-10 (ATM OAM) — table-driven, incremental.
+//! CRC-32 (AAL5, slice-by-8) and CRC-10 (ATM OAM) — table-driven, incremental.
 //!
 //! AAL5 protects each PDU with the IEEE 802.3 CRC-32 (polynomial
 //! 0x04C11DB8, reflected 0xEDB88320). The reproduction computes real CRCs
@@ -13,24 +13,40 @@ const CRC32_POLY: u32 = 0xEDB8_8320;
 /// CRC-10 polynomial x^10 + x^9 + x^5 + x^4 + x + 1 (ITU I.610), MSB-first.
 const CRC10_POLY: u16 = 0x633;
 
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    (c >> 1) ^ CRC32_POLY
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
+/// Slice-by-8 lookup tables, built at compile time. `T[0]` is the
+/// classic byte-at-a-time table; `T[k][b]` is the CRC contribution of
+/// byte `b` followed by `k` zero bytes, so eight table lookups absorb
+/// eight input bytes at once.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                (c >> 1) ^ CRC32_POLY
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        t
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
 /// Incremental CRC-32 state. AAL5-style: initial value all-ones, final
@@ -52,12 +68,25 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Absorbs bytes.
+    /// Absorbs bytes: eight at a time through the slice-by-8 tables,
+    /// then the tail one byte at a time.
     pub fn update(&mut self, data: &[u8]) {
-        let t = crc32_table();
+        let t = &CRC32_TABLES;
         let mut c = self.state;
-        for &b in data {
-            c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.state = c;
     }
@@ -95,6 +124,52 @@ pub fn crc10(data: &[u8]) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Oracle: bit-serial reflected CRC-32, independent of the tables.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    (c >> 1) ^ CRC32_POLY
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n as u32)
+            .map(|i| (i.wrapping_mul(167) ^ (i >> 3)) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn slice_by_8_matches_bytewise_oracle_on_every_length() {
+        let data = pattern(256);
+        for len in 0..=256 {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bytewise(&data[..len]),
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn update_matches_oracle_at_every_split_point() {
+        let data = pattern(97);
+        let want = crc32_bytewise(&data);
+        for split in 0..=data.len() {
+            let mut c = Crc32::new();
+            c.update(&data[..split]);
+            c.update(&data[split..]);
+            assert_eq!(c.finish(), want, "split at {split}");
+        }
+    }
 
     #[test]
     fn crc32_known_vectors() {

@@ -45,11 +45,10 @@
 //! assert_eq!(pdu.data.unwrap(), data);
 //! ```
 
-use std::collections::HashMap;
-
 use crate::cell::{Cell, Trailer, CELL_PAYLOAD};
 use crate::crc::Crc32;
 use crate::vci::Vci;
+use osiris_sim::FxHashMap;
 
 /// How end-of-PDU framing is encoded at segmentation time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,52 +114,40 @@ impl Segmenter {
         let total: usize = buffers.iter().map(|b| b.len()).sum();
         assert!(total > 0, "cannot segment an empty PDU");
 
-        // Chop into cell payloads according to the unit discipline.
-        let mut chunks: Vec<Vec<u8>> = Vec::with_capacity(total / CELL_PAYLOAD + 2);
-        match self.unit {
-            SegmentUnit::Pdu => {
-                let mut cur: Vec<u8> = Vec::with_capacity(CELL_PAYLOAD);
-                for buf in buffers {
-                    let mut rest: &[u8] = buf;
-                    while !rest.is_empty() {
-                        let take = (CELL_PAYLOAD - cur.len()).min(rest.len());
-                        cur.extend_from_slice(&rest[..take]);
-                        rest = &rest[take..];
-                        if cur.len() == CELL_PAYLOAD {
-                            chunks.push(std::mem::take(&mut cur));
-                        }
-                    }
-                }
-                if !cur.is_empty() {
-                    chunks.push(cur);
-                }
-            }
-            SegmentUnit::Buffer => {
-                for buf in buffers {
-                    for piece in buf.chunks(CELL_PAYLOAD) {
-                        chunks.push(piece.to_vec());
-                    }
-                }
-            }
-        }
-
-        let n = chunks.len();
         let seq_of = |i: usize| match self.framing {
             FramingMode::EndOfPdu => (i % (u16::MAX as usize + 1)) as u16,
             FramingMode::FourWay { .. } => pdu_seq,
         };
-        let mut cells: Vec<Cell> = chunks
-            .iter()
-            .enumerate()
-            .map(|(i, c)| Cell::data(vci, seq_of(i), c))
-            .collect();
+        // Chop into cell payloads according to the unit discipline,
+        // copying each byte once, straight into its cell.
+        let mut cells: Vec<Cell> = Vec::with_capacity(total / CELL_PAYLOAD + buffers.len());
+        for buf in buffers {
+            let mut rest: &[u8] = buf;
+            if self.unit == SegmentUnit::Pdu {
+                // Top up the partial cell the previous buffer ended in.
+                if let Some(cell) = cells.last_mut() {
+                    let fill = cell.aal.fill as usize;
+                    let take = (CELL_PAYLOAD - fill).min(rest.len());
+                    cell.payload[fill..fill + take].copy_from_slice(&rest[..take]);
+                    cell.aal.fill += take as u8;
+                    rest = &rest[take..];
+                }
+            }
+            for piece in rest.chunks(CELL_PAYLOAD) {
+                cells.push(Cell::data(vci, seq_of(cells.len()), piece));
+            }
+        }
+
+        let n = cells.len();
         cells[n - 1].header.last_cell = true;
 
         match self.framing {
             FramingMode::EndOfPdu => {
+                // The cells carry the buffers' bytes in order, so the
+                // PDU's CRC runs over the buffers directly.
                 let mut crc = Crc32::new();
-                for c in &cells {
-                    crc.update(c.data_bytes());
+                for buf in buffers {
+                    crc.update(buf);
                 }
                 let last = &mut cells[n - 1];
                 last.aal.eom = true;
@@ -302,7 +289,7 @@ pub struct Reassembler {
     mode: ReassemblyMode,
     keep_data: bool,
     max_pdu_bytes: u32,
-    records: HashMap<u64, PduRecord>,
+    records: FxHashMap<u64, PduRecord>,
     /// InOrder/SeqNum: the PDU currently being assembled.
     current_pdu: u64,
     /// InOrder: running byte offset.
@@ -318,7 +305,7 @@ pub struct Reassembler {
     /// lane has advanced past them. A lane finishing PDU p must skip any
     /// already-completed PDUs that carried no cells on its lane — the
     /// short-PDU / skew interaction §2.6 calls "significant complexity".
-    completed_totals: HashMap<u64, u32>,
+    completed_totals: FxHashMap<u64, u32>,
     completed_count: u64,
 }
 
@@ -336,14 +323,14 @@ impl Reassembler {
             mode,
             keep_data,
             max_pdu_bytes,
-            records: HashMap::new(),
+            records: FxHashMap::default(),
             current_pdu: 0,
             inorder_offset: 0,
             inorder_crc: Crc32::new(),
             stash: Vec::new(),
             stash_limit: 4096,
             lane_pos: vec![(0, 0); lanes],
-            completed_totals: HashMap::new(),
+            completed_totals: FxHashMap::default(),
             completed_count: 0,
         }
     }
@@ -800,6 +787,107 @@ mod tests {
         assert_eq!(cells.len(), 3);
         assert_eq!(cells[1].aal.fill, 6);
         assert_eq!(cells[2].aal.fill, 30);
+    }
+
+    /// Oracle: a two-pass segmenter that chops the chain into one owned
+    /// chunk per cell, builds the cells from the chunks, then frames and
+    /// CRCs them cell by cell.
+    fn segment_reference(s: Segmenter, vci: Vci, pdu_seq: u16, buffers: &[&[u8]]) -> Vec<Cell> {
+        let total: usize = buffers.iter().map(|b| b.len()).sum();
+        let mut chunks: Vec<Vec<u8>> = Vec::new();
+        match s.unit {
+            SegmentUnit::Pdu => {
+                let mut cur: Vec<u8> = Vec::new();
+                for buf in buffers {
+                    for &b in buf.iter() {
+                        cur.push(b);
+                        if cur.len() == CELL_PAYLOAD {
+                            chunks.push(std::mem::take(&mut cur));
+                        }
+                    }
+                }
+                if !cur.is_empty() {
+                    chunks.push(cur);
+                }
+            }
+            SegmentUnit::Buffer => {
+                for buf in buffers {
+                    chunks.extend(buf.chunks(CELL_PAYLOAD).map(<[u8]>::to_vec));
+                }
+            }
+        }
+        let n = chunks.len();
+        let mut cells: Vec<Cell> = chunks
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let seq = match s.framing {
+                    FramingMode::EndOfPdu => i as u16,
+                    FramingMode::FourWay { .. } => pdu_seq,
+                };
+                Cell::data(vci, seq, c)
+            })
+            .collect();
+        cells[n - 1].header.last_cell = true;
+        let lanes = match s.framing {
+            FramingMode::EndOfPdu => n,
+            FramingMode::FourWay { lanes } => lanes as usize,
+        };
+        for lane in 0..lanes.min(n) {
+            let idx: Vec<usize> = match s.framing {
+                FramingMode::EndOfPdu if lane > 0 => continue,
+                FramingMode::EndOfPdu => (0..n).collect(),
+                FramingMode::FourWay { .. } => (lane..n).step_by(lanes).collect(),
+            };
+            let mut crc = Crc32::new();
+            for &i in &idx {
+                crc.update(cells[i].data_bytes());
+            }
+            let len = match s.framing {
+                FramingMode::EndOfPdu => total as u32,
+                FramingMode::FourWay { .. } => idx.iter().map(|&i| cells[i].aal.fill as u32).sum(),
+            };
+            let last = &mut cells[*idx.last().expect("lane has cells")];
+            last.aal.eom = true;
+            last.trailer = Some(Trailer {
+                len,
+                crc: crc.finish(),
+            });
+        }
+        cells
+    }
+
+    #[test]
+    fn in_place_segmentation_matches_reference_chunker() {
+        let data = payload(3000);
+        // Odd-length multi-buffer chains, including an empty buffer, a
+        // buffer shorter than a cell and exact multiples of 44.
+        let chains: [&[usize]; 6] = [
+            &[1],
+            &[43, 45],
+            &[7, 0, 88, 131],
+            &[44, 44, 1],
+            &[1001, 3, 17, 999],
+            &[2999],
+        ];
+        for unit in [SegmentUnit::Pdu, SegmentUnit::Buffer] {
+            for framing in [FramingMode::EndOfPdu, FramingMode::FourWay { lanes: 4 }] {
+                let s = seg(framing, unit);
+                for lens in chains {
+                    let mut bufs: Vec<&[u8]> = Vec::new();
+                    let mut at = 0;
+                    for &l in lens {
+                        bufs.push(&data[at..at + l]);
+                        at += l;
+                    }
+                    assert_eq!(
+                        s.segment_numbered(Vci(9), 77, &bufs),
+                        segment_reference(s, Vci(9), 77, &bufs),
+                        "{unit:?} {framing:?} {lens:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,10 +17,8 @@
 //! across a port group, eliminating skew at the cost of making every
 //! lane as slow as the busiest.
 
-use std::collections::HashMap;
-
 use osiris_sim::obs::{Counter, Gauge, Probe};
-use osiris_sim::{FifoResource, SimDuration, SimTime};
+use osiris_sim::{FifoResource, FxHashMap, SimDuration, SimTime};
 
 use crate::cell::{Cell, CELL_BYTES_ON_WIRE};
 use crate::slab::{CellRef, CellSlab};
@@ -93,10 +91,10 @@ struct PortCounters {
 #[derive(Debug)]
 pub struct Switch {
     spec: SwitchSpec,
-    routes: HashMap<Vci, usize>,
+    routes: FxHashMap<Vci, usize>,
     /// Striped routes: a VCI whose four lanes land on a contiguous block
     /// of output ports starting at the stored base (multi-node fabrics).
-    lane_routes: HashMap<Vci, usize>,
+    lane_routes: FxHashMap<Vci, usize>,
     outputs: Vec<FifoResource>,
     stats: Vec<PortCounters>,
     /// Port group used by the coordinated mode (all members share fate).
@@ -144,8 +142,8 @@ impl Switch {
                     }
                 })
                 .collect(),
-            routes: HashMap::new(),
-            lane_routes: HashMap::new(),
+            routes: FxHashMap::default(),
+            lane_routes: FxHashMap::default(),
             group: Vec::new(),
             max_queue_cells: None,
             ecn_threshold: None,

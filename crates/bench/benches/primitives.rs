@@ -108,6 +108,7 @@ fn bench_dma_planning() {
             88,
             4096,
         )
+        .count()
     });
 }
 

@@ -28,7 +28,7 @@
 //!
 //! // 88 bytes starting 20 bytes before a page boundary: the controller
 //! // stops at the boundary and takes a second address (§2.5.2).
-//! let plan = plan_dma(DmaMode::DoubleCell, PhysAddr(4096 - 20), 88, 4096);
+//! let plan: Vec<_> = plan_dma(DmaMode::DoubleCell, PhysAddr(4096 - 20), 88, 4096).collect();
 //! assert_eq!(plan.len(), 2);
 //! assert_eq!(plan[0].len, 20);
 //! assert_eq!(plan[1].addr, PhysAddr(4096));
@@ -69,25 +69,33 @@ pub struct DmaXfer {
 
 /// Plans the bus transactions needed to move `len` bytes starting at
 /// `addr`, under `mode`, stopping at `page_size` boundaries (the §2.5.2
-/// rule). Each returned transaction pays the fixed per-transaction bus
-/// overhead, so the plan length is the cost model's input.
-pub fn plan_dma(mode: DmaMode, addr: PhysAddr, len: u32, page_size: u64) -> Vec<DmaXfer> {
+/// rule). Each yielded transaction pays the fixed per-transaction bus
+/// overhead, so the plan length is the cost model's input. The plan is
+/// computed lazily, one transaction per `next`, without allocating.
+pub fn plan_dma(
+    mode: DmaMode,
+    addr: PhysAddr,
+    len: u32,
+    page_size: u64,
+) -> impl Iterator<Item = DmaXfer> {
     assert!(page_size.is_power_of_two());
-    let mut out = Vec::with_capacity(2);
     let mut cur = addr.0;
     let mut remaining = len as u64;
     let chunk_cap = mode.max_len().map(u64::from).unwrap_or(u64::MAX);
-    while remaining > 0 {
+    std::iter::from_fn(move || {
+        if remaining == 0 {
+            return None;
+        }
         let to_page_end = page_size - (cur & (page_size - 1));
         let take = remaining.min(chunk_cap).min(to_page_end);
-        out.push(DmaXfer {
+        let xfer = DmaXfer {
             addr: PhysAddr(cur),
             len: take as u32,
-        });
+        };
         cur += take;
         remaining -= take;
-    }
-    out
+        Some(xfer)
+    })
 }
 
 #[cfg(test)]
@@ -95,6 +103,49 @@ mod tests {
     use super::*;
 
     const PAGE: u64 = 4096;
+
+    fn plan_dma(mode: DmaMode, addr: PhysAddr, len: u32, page_size: u64) -> Vec<DmaXfer> {
+        super::plan_dma(mode, addr, len, page_size).collect()
+    }
+
+    /// Oracle: the same rule, planned eagerly into a `Vec`.
+    fn plan_dma_reference(mode: DmaMode, addr: PhysAddr, len: u32, page_size: u64) -> Vec<DmaXfer> {
+        let mut out = Vec::with_capacity(2);
+        let mut cur = addr.0;
+        let mut remaining = len as u64;
+        let chunk_cap = mode.max_len().map(u64::from).unwrap_or(u64::MAX);
+        while remaining > 0 {
+            let to_page_end = page_size - (cur & (page_size - 1));
+            let take = remaining.min(chunk_cap).min(to_page_end);
+            out.push(DmaXfer {
+                addr: PhysAddr(cur),
+                len: take as u32,
+            });
+            cur += take;
+            remaining -= take;
+        }
+        out
+    }
+
+    #[test]
+    fn lazy_plan_matches_reference_planner() {
+        for mode in [DmaMode::SingleCell, DmaMode::DoubleCell, DmaMode::Arbitrary] {
+            for page in [64u64, PAGE, 8192] {
+                for start in (0..3 * page)
+                    .step_by(7)
+                    .chain([page - 1, page, 2 * page - 44])
+                {
+                    for len in [0u32, 1, 20, 43, 44, 45, 87, 88, 89, 4096, 10_000] {
+                        assert_eq!(
+                            plan_dma(mode, PhysAddr(start), len, page),
+                            plan_dma_reference(mode, PhysAddr(start), len, page),
+                            "{mode:?} page {page} start {start} len {len}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn single_cell_fits_one_transaction() {

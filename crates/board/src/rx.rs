@@ -25,13 +25,13 @@
 //!   empty, the PDU is dropped *on the board*, "before they have consumed
 //!   any processing resources on the host".
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use osiris_atm::sar::{CellDisposition, Reassembler, ReassemblyMode};
 use osiris_atm::{Cell, CellRef, CellSlab, Vci};
 use osiris_mem::{DataCache, MemorySystem, PhysAddr, PhysMemory};
 use osiris_sim::obs::{Counter, Probe};
-use osiris_sim::{FifoResource, SimDuration, SimTime, SymId, Timeline, TraceCtx};
+use osiris_sim::{FifoResource, FxHashMap, SimDuration, SimTime, SymId, Timeline, TraceCtx};
 
 use crate::descriptor::{DescRing, Descriptor};
 
@@ -227,9 +227,9 @@ pub struct RxProcessor {
     engine: FifoResource,
     free_rings: Vec<DescRing>,
     rx_rings: Vec<DescRing>,
-    vci_to_page: HashMap<Vci, usize>,
-    reassemblers: HashMap<Vci, Reassembler>,
-    pdu_state: HashMap<(Vci, u64), PduBufState>,
+    vci_to_page: FxHashMap<Vci, usize>,
+    reassemblers: FxHashMap<Vci, Reassembler>,
+    pdu_state: FxHashMap<(Vci, u64), PduBufState>,
     pending: Option<PendingDma>,
     pending_gen: u64,
     authorized: Vec<Option<HashSet<u64>>>,
@@ -298,9 +298,9 @@ impl RxProcessor {
             rx_rings: (0..QUEUE_PAGES)
                 .map(|_| DescRing::new(layout.rx_ring_slots))
                 .collect(),
-            vci_to_page: HashMap::new(),
-            reassemblers: HashMap::new(),
-            pdu_state: HashMap::new(),
+            vci_to_page: FxHashMap::default(),
+            reassemblers: FxHashMap::default(),
+            pdu_state: FxHashMap::default(),
             pending: None,
             pending_gen: 0,
             authorized: vec![None; QUEUE_PAGES],
@@ -493,12 +493,22 @@ impl RxProcessor {
         if state.ctx.is_none() {
             state.ctx = cell.ctx;
         }
+        let (poisoned, ctx) = (state.poisoned, state.ctx);
 
         // Store the payload unless the PDU is being shed.
-        let poisoned = self.pdu_state[&key].poisoned;
         let mut t_done = t_fw;
         if !poisoned {
-            t_done = self.store_payload(t_fw, key, disp.offset, cell, mem, cache, phys, &mut out);
+            t_done = self.store_payload(
+                t_fw,
+                key,
+                ctx,
+                disp.offset,
+                cell,
+                mem,
+                cache,
+                phys,
+                &mut out,
+            );
         }
 
         // Completion (also reached while shedding: the reassembler still
@@ -687,6 +697,7 @@ impl RxProcessor {
         &mut self,
         t_fw: SimTime,
         key: (Vci, u64),
+        ctx: Option<TraceCtx>,
         offset: u32,
         cell: &Cell,
         mem: &mut MemorySystem,
@@ -695,43 +706,49 @@ impl RxProcessor {
         out: &mut RxOutcome,
     ) -> SimTime {
         let bb = self.cfg.buffer_bytes;
-        let data = cell.data_bytes();
-        let ctx = self.pdu_state[&key].ctx;
+        let pieces = buffer_pieces(offset, cell.data_bytes(), bb);
         let mut t_done = t_fw;
 
-        // Split the payload at receive-buffer boundaries.
-        let mut pieces: Vec<(usize, u32, &[u8])> = Vec::with_capacity(2); // (buf_index, off_in_buf, bytes)
-        {
-            let mut off = offset;
-            let mut rest = data;
-            while !rest.is_empty() {
-                let bi = (off / bb) as usize;
-                let in_buf = off % bb;
-                let take = ((bb - in_buf) as usize).min(rest.len());
-                pieces.push((bi, in_buf, &rest[..take]));
-                off += take as u32;
-                rest = &rest[take..];
-            }
-        }
-
         // Make sure every touched buffer is allocated.
-        for &(bi, _, _) in &pieces {
-            if !self.ensure_buffer(key, bi) {
+        let state = self.pdu_state.get_mut(&key).expect("state exists");
+        for (bi, _, _) in pieces.clone() {
+            if state.bufs.len() <= bi {
+                state.bufs.resize(bi + 1, None);
+                state.buf_fill.resize(bi + 1, 0);
+            }
+            if state.bufs[bi].is_some() {
+                continue;
+            }
+            let page = state.page;
+            let Some(desc) = pop_authorized(
+                &mut self.free_rings[page],
+                self.authorized[page].as_ref(),
+                self.cfg.page_size,
+                &self.stats.violations,
+            ) else {
                 // No free buffer: shed the whole PDU from here on.
-                let state = self.pdu_state.get_mut(&key).expect("state exists");
                 state.poisoned = true;
                 return t_fw;
-            }
+            };
+            debug_assert!(desc.len >= bb, "undersized receive buffer");
+            state.bufs[bi] = Some(desc);
         }
 
         let is_last = cell.aal.eom || cell.header.last_cell;
-        for (i, &(bi, in_buf, bytes)) in pieces.iter().enumerate() {
+        let mut pieces = pieces.peekable();
+        while let Some((bi, in_buf, bytes)) = pieces.next() {
             let state = self.pdu_state.get_mut(&key).expect("state exists");
             let buf = state.bufs[bi].expect("ensured");
             let addr = buf.addr.offset(in_buf as u64);
             state.buf_fill[bi] += bytes.len() as u32;
             let fills_buffer = state.buf_fill[bi] >= bb;
-            let must_issue = is_last || fills_buffer || i + 1 < pieces.len();
+            let must_issue = is_last || fills_buffer || pieces.peek().is_some();
+            // A buffer that is now full is pushed (in order) once its
+            // bytes have landed.
+            let push_to = (fills_buffer && state.pushed_upto == bi).then(|| {
+                state.pushed_upto = bi + 1;
+                state.page
+            });
 
             if self.cfg.dma_mode != DmaMode::SingleCell {
                 t_done = t_done.max(self.double_cell_store(
@@ -741,10 +758,7 @@ impl RxProcessor {
                 t_done = t_done.max(self.issue_dma(t_fw, addr, bytes, ctx, mem, cache, phys));
             }
 
-            // Push buffers that are now full (in order).
-            let state = self.pdu_state.get_mut(&key).expect("state exists");
-            if fills_buffer && state.pushed_upto == bi {
-                let page = state.page;
+            if let Some(page) = push_to {
                 let desc = Descriptor {
                     addr: buf.addr,
                     len: bb,
@@ -753,7 +767,6 @@ impl RxProcessor {
                     err: false,
                     ctx,
                 };
-                state.pushed_upto = bi + 1;
                 self.push_rx(t_done, page, desc, out);
             }
         }
@@ -905,44 +918,6 @@ impl RxProcessor {
         t
     }
 
-    /// Allocates buffer `bi` for a PDU from its page's free ring.
-    fn ensure_buffer(&mut self, key: (Vci, u64), bi: usize) -> bool {
-        let state = self.pdu_state.get_mut(&key).expect("state exists");
-        if state.bufs.len() <= bi {
-            state.bufs.resize(bi + 1, None);
-            state.buf_fill.resize(bi + 1, 0);
-        }
-        if state.bufs[bi].is_some() {
-            return true;
-        }
-        let page = state.page;
-        loop {
-            match self.free_rings[page].pop() {
-                Some((desc, _cost)) => {
-                    // §3.2: an ADC may only offer buffers inside its
-                    // authorized page list; others are rejected on the
-                    // board and the violation reported to the kernel.
-                    if let Some(frames) = &self.authorized[page] {
-                        let ps = self.cfg.page_size;
-                        let first = desc.addr.0 / ps;
-                        let last = (desc.addr.0 + desc.len.max(1) as u64 - 1) / ps;
-                        if (first..=last).any(|f| !frames.contains(&f)) {
-                            self.stats.violations.incr();
-                            continue; // discard, try the next buffer
-                        }
-                    }
-                    debug_assert!(
-                        desc.len >= self.cfg.buffer_bytes,
-                        "undersized receive buffer"
-                    );
-                    self.pdu_state.get_mut(&key).expect("state exists").bufs[bi] = Some(desc);
-                    return true;
-                }
-                None => return false,
-            }
-        }
-    }
-
     /// Pushes remaining buffers of a completed PDU (EOP + error flag on the
     /// last) to the receive ring.
     fn finish_pdu(
@@ -1008,6 +983,52 @@ impl RxProcessor {
         } else {
             self.stats.intr_suppressed.incr();
         }
+    }
+}
+
+/// Splits one cell's `data`, which starts at byte `offset` of its PDU,
+/// at receive-buffer boundaries (`bb` bytes per buffer):
+/// `(buffer index, offset in buffer, bytes)`, in order.
+fn buffer_pieces(
+    offset: u32,
+    data: &[u8],
+    bb: u32,
+) -> impl Iterator<Item = (usize, u32, &[u8])> + Clone {
+    let mut off = offset;
+    let mut rest = data;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let in_buf = off % bb;
+        let (piece, tail) = rest.split_at(((bb - in_buf) as usize).min(rest.len()));
+        let item = ((off / bb) as usize, in_buf, piece);
+        off += piece.len() as u32;
+        rest = tail;
+        Some(item)
+    })
+}
+
+/// Pops the next buffer from a page's free ring. §3.2: an ADC may only
+/// offer buffers inside its authorized page list (`frames`); others are
+/// rejected on the board and the violation reported to the kernel.
+fn pop_authorized(
+    ring: &mut DescRing,
+    frames: Option<&HashSet<u64>>,
+    page_size: u64,
+    violations: &Counter,
+) -> Option<Descriptor> {
+    loop {
+        let (desc, _cost) = ring.pop()?;
+        if let Some(frames) = frames {
+            let first = desc.addr.0 / page_size;
+            let last = (desc.addr.0 + desc.len.max(1) as u64 - 1) / page_size;
+            if (first..=last).any(|f| !frames.contains(&f)) {
+                violations.incr();
+                continue; // discard, try the next buffer
+            }
+        }
+        return Some(desc);
     }
 }
 
@@ -1382,5 +1403,24 @@ mod tests {
         feed(&mut r, &cells, SimTime::ZERO);
         assert_eq!(r.rx.stats().double_cell_merges, 0);
         assert_eq!(r.rx.stats().dma_transactions, 4);
+    }
+
+    #[test]
+    fn buffer_pieces_split_at_every_buffer_boundary() {
+        let data: Vec<u8> = (0..44).collect();
+        let pieces: Vec<_> = buffer_pieces(100, &data, 16).collect();
+        // Bytes 100..144 of the PDU over 16-byte buffers: 12 at offset 4
+        // of buffer 6, then 16 in each of buffers 7 and 8.
+        let shape: Vec<_> = pieces
+            .iter()
+            .map(|&(bi, off, b)| (bi, off, b.len()))
+            .collect();
+        assert_eq!(shape, vec![(6, 4, 12), (7, 0, 16), (8, 0, 16)]);
+        assert_eq!(
+            pieces.iter().flat_map(|p| p.2).copied().collect::<Vec<_>>(),
+            data
+        );
+        let one: Vec<_> = buffer_pieces(0, &data, 4096).collect();
+        assert_eq!(one, vec![(0, 0, &data[..])]);
     }
 }

@@ -26,7 +26,7 @@ use osiris_atm::sar::{FramingMode, SegmentUnit, Segmenter};
 use osiris_atm::{CellRef, CellSlab, StripedLink, Vci};
 use osiris_mem::{MemorySystem, PhysBuffer, PhysMemory};
 use osiris_sim::obs::{Counter, Probe};
-use osiris_sim::{Clock, FifoResource, SimTime, SymId, Timeline};
+use osiris_sim::{Clock, FifoResource, FxHashMap, SimTime, SymId, Timeline};
 
 use crate::descriptor::{DescRing, Descriptor};
 use crate::dma::{plan_dma, DmaMode};
@@ -166,7 +166,7 @@ pub struct TxProcessor {
     /// Per-VCI PDU sequence counters (wrapping). FourWay framing tags
     /// every cell with its PDU's number so the peer's reassembler can
     /// detect a lane slipping onto the next PDU after cell loss.
-    pdu_seq: HashMap<Vci, u16>,
+    pdu_seq: FxHashMap<Vci, u16>,
 }
 
 /// The transmit processor's interned track/name symbols.
@@ -226,7 +226,7 @@ impl TxProcessor {
             syms,
             lane_tracks: Vec::new(),
             last_dma_end: SimTime::ZERO,
-            pdu_seq: HashMap::new(),
+            pdu_seq: FxHashMap::default(),
         }
     }
 

@@ -305,15 +305,23 @@ impl HostMachine {
 }
 
 /// The Internet one's-complement checksum (RFC 1071) over a byte slice.
+///
+/// RFC 1071 §2's deferred carries: big-endian 32-bit words are added
+/// into a 64-bit sum, and the carries are folded back into 16 bits once
+/// at the end. A 32-bit word is two 16-bit words modulo 2^16 - 1, so the
+/// result equals folding after every 16-bit word. A 1–3 byte tail is
+/// padded with zeros on the right, as an odd final byte is.
 pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum = 0u32;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u16::from_be_bytes([c[0], c[1]]) as u32;
-        sum = (sum & 0xFFFF) + (sum >> 16);
+    let mut sum = 0u64;
+    let mut words = data.chunks_exact(4);
+    for w in &mut words {
+        sum += u32::from_be_bytes([w[0], w[1], w[2], w[3]]) as u64;
     }
-    if let [last] = chunks.remainder() {
-        sum += (*last as u32) << 8;
+    let rest = words.remainder();
+    let mut tail = [0u8; 4];
+    tail[..rest.len()].copy_from_slice(rest);
+    sum += u32::from_be_bytes(tail) as u64;
+    while sum >> 16 != 0 {
         sum = (sum & 0xFFFF) + (sum >> 16);
     }
     !(sum as u16)
@@ -416,6 +424,43 @@ mod tests {
         // Odd length pads with zero.
         assert_eq!(internet_checksum(&[0xFF]), !0xFF00u16);
         assert_eq!(internet_checksum(&[]), 0xFFFF);
+    }
+
+    /// Oracle: add 16-bit words and fold the carry after every one.
+    fn checksum_fold_per_word(data: &[u8]) -> u16 {
+        let mut sum = 0u32;
+        let mut chunks = data.chunks_exact(2);
+        for c in &mut chunks {
+            sum += u16::from_be_bytes([c[0], c[1]]) as u32;
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        if let [last] = chunks.remainder() {
+            sum += (*last as u32) << 8;
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    #[test]
+    fn deferred_carry_matches_fold_per_word_oracle() {
+        let mixed: Vec<u8> = (0..256 * 1024u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in 0..=67 {
+            for data in [&mixed[..len], &vec![0x00; len][..], &vec![0xFF; len][..]] {
+                assert_eq!(
+                    internet_checksum(data),
+                    checksum_fold_per_word(data),
+                    "{data:?}"
+                );
+            }
+            // Odd tails at unaligned starts.
+            let d = &mixed[3..3 + len];
+            assert_eq!(internet_checksum(d), checksum_fold_per_word(d));
+        }
+        for data in [&mixed[..], &vec![0xFF; mixed.len()][..]] {
+            assert_eq!(internet_checksum(data), checksum_fold_per_word(data));
+        }
     }
 
     #[test]

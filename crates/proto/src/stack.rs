@@ -1408,14 +1408,16 @@ impl ProtoStack {
         asp: &AddressSpace,
         msg: &Message<VirtAddr>,
     ) -> Result<(SimTime, u16), MapError> {
-        let mut bytes = Vec::with_capacity(msg.len() as usize);
+        // Each piece is read straight into its place in one buffer.
+        let mut bytes = vec![0u8; msg.len() as usize];
+        let mut off = 0;
         let mut t = now;
         for seg in msg.segs() {
             for pb in asp.translate(seg.addr, seg.len as u64)? {
-                let mut buf = vec![0u8; pb.len as usize];
-                let rr = host.cpu_read(t, pb.addr, &mut buf);
+                let end = off + pb.len as usize;
+                let rr = host.cpu_read(t, pb.addr, &mut bytes[off..end]);
                 t = rr.grant.finish;
-                bytes.extend_from_slice(&buf);
+                off = end;
             }
         }
         let words = (bytes.len() as u64).div_ceil(4);
@@ -1433,15 +1435,17 @@ impl ProtoStack {
         host: &mut HostMachine,
         msg: &Message<PhysAddr>,
     ) -> (SimTime, u16, u64) {
-        let mut bytes = Vec::with_capacity(msg.len() as usize);
+        // Each segment is read straight into its place in one buffer.
+        let mut bytes = vec![0u8; msg.len() as usize];
+        let mut off = 0;
         let mut t = now;
         let mut stale = 0;
         for seg in msg.segs() {
-            let mut buf = vec![0u8; seg.len as usize];
-            let rr = host.cpu_read(t, seg.addr, &mut buf);
+            let end = off + seg.len as usize;
+            let rr = host.cpu_read(t, seg.addr, &mut bytes[off..end]);
             t = rr.grant.finish;
             stale += rr.stale_bytes;
-            bytes.extend_from_slice(&buf);
+            off = end;
         }
         let words = (bytes.len() as u64).div_ceil(4);
         t = host

@@ -18,12 +18,15 @@
 //!   experiment harness.
 //! * [`SimRng`] — a tiny, dependency-free, fully deterministic RNG
 //!   (SplitMix64) used for skew jitter and fault injection.
+//! * [`FxHashMap`] — a fixed-seed, non-SipHash map for the per-cell
+//!   lookups keyed by simulator-minted integers.
 //!
 //! Everything is deterministic: given the same configuration and seed, a
 //! simulation produces bit-identical results, which the test suite relies on.
 
 pub mod event;
 pub mod faults;
+mod hash;
 pub mod json;
 pub mod obs;
 pub mod resource;
@@ -35,6 +38,7 @@ pub use event::{EventQueue, QueueKind};
 pub use faults::{
     CellFate, FaultComponent, FaultInjector, FaultPlan, LaneOutage, PointFault, PointFaultKind,
 };
+pub use hash::FxHashMap;
 pub use json::Json;
 pub use obs::series::{SeriesData, SeriesDump, SeriesKind, SeriesSet};
 pub use obs::{

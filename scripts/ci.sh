@@ -66,6 +66,14 @@ test -s target/bench/BENCH_fig2.json
 cargo run --release -q -p osiris-bench --bin regress -- \
   crates/bench/baselines/BENCH_fig2.json target/bench/BENCH_fig2.json --threshold 5
 
+echo "==> smoke: Figure 3 snapshot + regression gate (fig3 --quick)"
+# The receive data path (per-cell CRC, double-cell DMA, UDP checksum)
+# Figure 3 measures; same determinism argument as fig2.
+cargo run --release -q -p osiris-bench --bin fig3 -- --quick --bench-out target/bench/BENCH_fig3.json > /dev/null
+test -s target/bench/BENCH_fig3.json
+cargo run --release -q -p osiris-bench --bin regress -- \
+  crates/bench/baselines/BENCH_fig3.json target/bench/BENCH_fig3.json --threshold 5
+
 echo "==> smoke: loss sweep + regression gate (loss --quick)"
 # Fault-plane gate: goodput under seeded cell loss must not sag and the
 # recovery tail must not grow. Same determinism argument as fig2.
