@@ -1,5 +1,5 @@
 //! Regenerates the **event-engine** snapshot: how many events per second
-//! the simulator's queue backends sustain, and how fast a real receive
+//! the simulator's event queue sustains, and how fast a real receive
 //! bench runs end to end.
 //!
 //! Two workloads:
@@ -7,26 +7,20 @@
 //! * A classic *hold model* — prefill a large pending set, then pop one
 //!   event and push its successor, over and over. This is the steady
 //!   state of a saturated simulation and isolates the queue: the binary
-//!   heap pays `O(log n)` sift per operation against the pending-set
-//!   size, the calendar queue pays amortised `O(1)` bucket insertion.
-//!   The `calendar_speedup` headline is their ratio; it is what the
-//!   hot-path refactor bought and what CI guards (a ratio of two runs on
-//!   the same machine, so it is far more stable than absolute ns).
-//! * The quick Figure-2 receive bench under the calendar queue (the
-//!   default backend) — real events through the real dispatcher, with
-//!   the slab cell arena and interned timeline keys on the path. Its
-//!   events/sec headline guards the end-to-end hot path, not just the
-//!   queue in isolation.
+//!   heap pays an `O(log n)` sift per operation against the pending-set
+//!   size.
+//! * The quick Figure-2 receive bench — real events through the real
+//!   dispatcher, with the slab cell arena and interned timeline keys on
+//!   the path. Its events/sec headline guards the end-to-end hot path,
+//!   not just the queue in isolation.
 //!
-//! The simulated *results* are identical under either backend — the
-//! queue's `(time, seq)` FIFO contract fixes the pop order — so this
-//! bench guards wall-clock only. Timing is wall-clock and therefore
-//! noisy; CI compares with a generous threshold.
+//! Timing is wall-clock and therefore noisy; CI compares with a
+//! generous threshold.
 
 use std::time::Instant;
 
 use osiris::config::TestbedConfig;
-use osiris::sim::{EventQueue, QueueKind, SimRng, SimTime};
+use osiris::sim::{EventQueue, SimRng, SimTime};
 use osiris_bench::{
     bench_out_path, json_requested, quick_requested, BenchSnapshot, Better, ExperimentResult,
 };
@@ -34,8 +28,8 @@ use osiris_bench::{
 /// One hold-model pass: `ops` pop+push cycles against a pending set of
 /// `pending` events, times drawn from a deterministic RNG. Returns
 /// events per second (one op = one event dispatched).
-fn hold_model(kind: QueueKind, pending: usize, ops: u64) -> f64 {
-    let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
+fn hold_model(pending: usize, ops: u64) -> f64 {
+    let mut q: EventQueue<u32> = EventQueue::new();
     let mut rng = SimRng::new(0x0517_1994);
     // Mean inter-event gap of ~1 µs in picoseconds (the testbed's
     // cell-time cadence); the pending set then spans `pending` µs, and
@@ -58,16 +52,15 @@ fn hold_model(kind: QueueKind, pending: usize, ops: u64) -> f64 {
     ops as f64 / secs
 }
 
-/// The receive bench wall-clock under `kind`, best of three runs (least
-/// scheduler noise): returns `(events_per_sec, wall_ms, events)`.
-fn rx_bench_wall(kind: QueueKind, messages: u64) -> (f64, f64, u64) {
+/// The receive bench wall-clock, best of three runs (least scheduler
+/// noise): returns `(events_per_sec, wall_ms, events)`.
+fn rx_bench_wall(messages: u64) -> (f64, f64, u64) {
     let mut best: Option<(f64, f64, u64)> = None;
     for _ in 0..3 {
         let mut cfg = TestbedConfig::ds5000_200_udp();
         cfg.msg_size = 16 * 1024;
         cfg.messages = messages;
         cfg.warmup = 2;
-        cfg.sim.queue = kind;
         let t0 = Instant::now();
         let events = {
             let mut sim = osiris::Scenario::RxBench.launch(cfg);
@@ -87,9 +80,6 @@ fn rx_bench_wall(kind: QueueKind, messages: u64) -> (f64, f64, u64) {
 
 fn main() {
     let quick = quick_requested();
-    // The pending set is what separates the backends; the full profile
-    // uses a set deep enough to show the 10× target, quick a smaller one
-    // that still clears 3×.
     let (pending, ops) = if quick {
         (1 << 20, 400_000)
     } else {
@@ -97,18 +87,13 @@ fn main() {
     };
     let messages = if quick { 24 } else { 96 };
 
-    // Best of two passes per backend — same noise treatment as the
-    // micro harness (report the least-disturbed measurement).
-    let best = |kind| {
-        (0..2)
-            .map(|_| hold_model(kind, pending, ops))
-            .fold(0.0, f64::max)
-    };
-    let heap = best(QueueKind::Heap);
-    let calendar = best(QueueKind::Calendar);
-    let speedup = calendar / heap;
+    // The receive bench runs first: after the hold passes free their
+    // ~24 MB heaps, the allocator's state roughly doubles its wall time.
+    let (rx_eps, rx_ms, rx_events) = rx_bench_wall(messages);
 
-    let (rx_eps, rx_ms, rx_events) = rx_bench_wall(QueueKind::Calendar, messages);
+    // Best of two passes — same noise treatment as the micro harness
+    // (report the least-disturbed measurement).
+    let heap = (0..2).map(|_| hold_model(pending, ops)).fold(0.0, f64::max);
 
     let mut r = ExperimentResult::new(
         "engine",
@@ -117,19 +102,11 @@ fn main() {
     );
     let x = [pending as u64];
     r.push_series("heap", &x, &[heap], None);
-    r.push_series("calendar", &x, &[calendar], None);
-    r.push_series("rx_bench_calendar", &[rx_events], &[rx_eps], None);
+    r.push_series("rx_bench", &[rx_events], &[rx_eps], None);
 
     if let Some(path) = bench_out_path() {
         let mut snap = BenchSnapshot::new("engine");
-        snap.headline(
-            "hold_calendar_events_per_sec",
-            calendar,
-            "events/s",
-            Better::Higher,
-        );
         snap.headline("hold_heap_events_per_sec", heap, "events/s", Better::Higher);
-        snap.headline("calendar_speedup", speedup, "x", Better::Higher);
         snap.headline(
             "rx_bench_events_per_sec",
             rx_eps,
@@ -147,8 +124,5 @@ fn main() {
     }
     println!("event engine, hold model ({pending} pending, {ops} ops):");
     println!("  heap      {heap:>12.0} events/s");
-    println!("  calendar  {calendar:>12.0} events/s   ({speedup:.1}x)");
-    println!(
-        "quick rx bench (calendar): {rx_events} events in {rx_ms:.1} ms = {rx_eps:.0} events/s"
-    );
+    println!("quick rx bench: {rx_events} events in {rx_ms:.1} ms = {rx_eps:.0} events/s");
 }

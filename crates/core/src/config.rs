@@ -124,7 +124,7 @@ pub struct TestbedConfig {
     /// paper's behaviour).
     pub reassembly_timeout: Option<SimDuration>,
     /// Simulation-kernel settings: timeline and series sizing, sampling
-    /// period, fault plan, and event-queue backend.
+    /// period and fault plan.
     pub sim: SimConfig,
 }
 

@@ -11,7 +11,7 @@
 use osiris_adc::AdcManager;
 use osiris_atm::{CellSlab, Vci};
 use osiris_sim::stats::{DurationHistogram, LatencyStats, ThroughputMeter};
-use osiris_sim::{EventQueue, Registry, SeriesDump, SimDuration, SimTime, Simulation, Timeline};
+use osiris_sim::{Registry, SeriesDump, SimDuration, SimTime, Simulation, Timeline};
 
 use crate::config::{Layer, TestbedConfig};
 use crate::fabric::{BackToBack, Fabric, SwitchedFabric};
@@ -299,6 +299,7 @@ impl Scenario {
             switch_span_floor: std::collections::HashMap::new(),
             reap_scheduled: vec![false; n],
             reap_idle: vec![0; n],
+            retrans_armed: vec![Vec::new(); n],
             dispatch,
         };
 
@@ -386,10 +387,6 @@ impl Scenario {
     pub fn launch(&self, cfg: TestbedConfig) -> Simulation<Testbed> {
         let tb = self.build(cfg);
         let mut sim = Simulation::new(tb);
-        // The config selects the queue backend (calendar by default);
-        // `(time, seq)` FIFO order is identical under either, so this
-        // can never change results.
-        sim.queue = EventQueue::with_kind(sim.model.cfg.sim.queue);
         sim.queue.attach_probe(&sim.model.registry.probe("engine"));
         for ev in self.seed_events(&mut sim.model) {
             sim.queue.push(SimTime::ZERO, ev);

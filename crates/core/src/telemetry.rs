@@ -20,8 +20,7 @@
 //! The default tracked set is the engine's own health: total events
 //! scheduled, events dispatched (a synthetic per-sampler counter), the
 //! per-event-type `engine.dispatch.*` mix, the cell-slab high water,
-//! the switch output-queue depth and high water, and the calendar
-//! queue's bucket high water.
+//! and the switch output-queue depth and high water.
 
 use osiris_sim::obs::{Counter, Probe, Registry};
 use osiris_sim::{Model, SeriesDump, SeriesSet, SimDuration, SimTime, Simulation};
@@ -33,7 +32,6 @@ const TRACKED_GAUGES: &[&str] = &[
     "cells.slab_high_water",
     "fabric.switch.queue_depth_cells",
     "fabric.switch.queue_high_water_cells",
-    "engine.queue.bucket_high_water",
 ];
 
 /// A sampling plane bound to one engine's registry: the series set plus

@@ -316,6 +316,11 @@ pub struct Testbed {
     /// Consecutive sweeps per node that neither reclaimed a PDU nor
     /// pushed a descriptor — the re-arm cap's progress signal.
     pub(crate) reap_idle: Vec<u32>,
+    /// Instants at which a `RetransTick` is pending, per node. A second
+    /// tick at an armed instant would find nothing due (the first one
+    /// re-armed every expired datagram past `now`) and would re-arm
+    /// itself forever, so at most one is pushed per (node, instant).
+    pub(crate) retrans_armed: Vec<Vec<SimTime>>,
     /// Per-event-type dispatch counts (`engine.dispatch.*`), bumped once
     /// per handled event — the workload mix the telemetry plane samples.
     pub(crate) dispatch: DispatchCounters,
@@ -347,11 +352,10 @@ impl Testbed {
 
     /// The snapshot minus the keys that legitimately differ between two
     /// runs of one event history: the sampler's own bookkeeping
-    /// (`obs.*`, present only with sampling on) and the event-queue
-    /// internals (`engine.queue.*`, backend-dependent). Byte-compare its
-    /// rendered JSON across queue backends and sampling on/off.
+    /// (`obs.*`, present only with sampling on). Byte-compare its
+    /// rendered JSON across sampling on/off.
     pub fn semantic_snapshot(&self) -> Snapshot {
-        let keep = |k: &String| !k.starts_with("obs.") && !k.starts_with("engine.queue.");
+        let keep = |k: &String| !k.starts_with("obs.");
         let mut s = self.snapshot();
         s.counters.retain(|k, _| keep(k));
         s.gauges.retain(|k, _| keep(k));
@@ -491,10 +495,16 @@ impl Testbed {
         }
     }
 
-    /// Schedules a retransmit tick at the stack's earliest RTO expiry.
+    /// Schedules a retransmit tick at the stack's earliest RTO expiry,
+    /// unless one is already pending at that instant.
     fn arm_retransmit(&mut self, now: SimTime, host: NodeId, q: &mut EventQueue<Event>) {
         if let Some(at) = self.nodes[host.0].stack.next_retransmit_at() {
-            q.push(at.max(now), Event::RetransTick { host });
+            let at = at.max(now);
+            let armed = &mut self.retrans_armed[host.0];
+            if !armed.contains(&at) {
+                armed.push(at);
+                q.push(at, Event::RetransTick { host });
+            }
         }
     }
 
@@ -503,6 +513,7 @@ impl Testbed {
     /// expiry. Abandoned datagrams (`max_retries`) stop re-arming, which
     /// bounds every run.
     fn retrans_tick(&mut self, now: SimTime, host: NodeId, q: &mut EventQueue<Event>) {
+        self.retrans_armed[host.0].retain(|&at| at != now);
         let node = &mut self.nodes[host.0];
         let pkts = node.stack.poll_retransmit(now);
         if !pkts.is_empty() {

@@ -59,10 +59,9 @@ pub struct SimConfig {
     pub timeline_capacity: usize,
     /// The seeded fault-injection plan (defaults to injecting nothing).
     pub faults: FaultPlan,
-    /// Event-queue backend for the run. Both backends dispatch the
-    /// exact same `(time, seq)` order, so this knob can never change a
-    /// result — only how fast a run finishes. Defaults to the calendar
-    /// queue.
+    /// The event queue for the run. [`QueueKind`] has one variant, the
+    /// binary heap; the field remains only because the repository
+    /// benchmark (`perfbench/`) reads it.
     pub queue: QueueKind,
     /// Period of the deterministic telemetry sampler
     /// ([`obs::series::SeriesSet`]) in simulated time; `None` (the

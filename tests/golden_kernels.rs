@@ -5,12 +5,18 @@
 //! moves at least one of them. A change the sender and receiver share
 //! (the same wrong CRC or checksum on both ends) is invisible here and
 //! is caught by the kernels' oracle unit tests instead.
+//!
+//! The reliable incast case also pins the retransmit timer: its
+//! simulated results were captured before duplicate `RetransTick`s
+//! were suppressed, so they must not move, while the tick and event
+//! counts pin the suppression itself.
 
 use osiris::atm::sar::ReassemblyMode;
 use osiris::board::dma::DmaMode;
 use osiris::config::{TestbedConfig, TouchMode};
+use osiris::proto::stack::{CcScheme, TransportMode};
 use osiris::sim::stats::ThroughputMeter;
-use osiris::sim::SimTime;
+use osiris::sim::{SimDuration, SimTime};
 use osiris::Scenario;
 
 /// What one small run must reproduce exactly.
@@ -31,21 +37,40 @@ fn node_sum(snap: &osiris::sim::Snapshot, suffix: &str) -> u64 {
         .sum()
 }
 
+/// What a reliable run must also reproduce: the transport's recovery
+/// work and the timer events behind it.
+#[derive(Debug, PartialEq, Eq)]
+struct Reliable {
+    retransmits: u64,
+    gave_up: u64,
+    retrans_ticks: u64,
+}
+
 fn run(scenario: Scenario, cfg: TestbedConfig) -> Golden {
+    run_reliable(scenario, cfg).0
+}
+
+fn run_reliable(scenario: Scenario, cfg: TestbedConfig) -> (Golden, Reliable) {
     let warmup = cfg.warmup;
     let mut sim = scenario.launch(cfg);
     sim.model.meter = ThroughputMeter::new(warmup);
     while !sim.model.done && sim.now() <= SimTime::from_secs(30) && sim.step() {}
     assert!(sim.model.done, "{scenario:?} did not complete");
     let snap = sim.model.snapshot();
-    Golden {
+    let reliable = Reliable {
+        retransmits: node_sum(&snap, "stack.retransmits"),
+        gave_up: node_sum(&snap, "stack.gave_up"),
+        retrans_ticks: snap.counter("engine.dispatch.retrans_tick"),
+    };
+    let golden = Golden {
         events: sim.steps(),
         end_ps: sim.now().as_ps(),
         rx_cells: node_sum(&snap, "board.rx.cells"),
         delivered: node_sum(&snap, "stack.delivered"),
         pdus_crc_failed: node_sum(&snap, "board.rx.pdus_crc_failed"),
         verify_failures: sim.model.verify_failures,
-    }
+    };
+    (golden, reliable)
 }
 
 #[test]
@@ -103,6 +128,43 @@ fn eight_sender_incast() {
             delivered: 32,
             pdus_crc_failed: 0,
             verify_failures: 0,
+        }
+    );
+}
+
+#[test]
+fn sixteen_sender_reliable_ecn_incast() {
+    // The congestion-control matrix's `sr+ecn` cell, loss-free.
+    let mut cfg = TestbedConfig::ds5000_200_udp();
+    cfg.msg_size = 1024;
+    cfg.messages = 8;
+    cfg.warmup = 0;
+    cfg.window = 8;
+    cfg.reliable = true;
+    cfg.transport = TransportMode::SelectiveRepeat;
+    cfg.cc = CcScheme::Ecn;
+    cfg.reassembly = ReassemblyMode::FourWay { lanes: 4 };
+    cfg.reassembly_timeout = Some(SimDuration::from_us(1000));
+    cfg.sim.faults.switch_max_queue_cells = Some(512);
+    cfg.ecn_threshold_cells = Some(128);
+    let (golden, reliable) = run_reliable(Scenario::Incast { senders: 16 }, cfg);
+    assert_eq!(
+        golden,
+        Golden {
+            events: 17374,
+            end_ps: 74260208099,
+            rx_cells: 8051,
+            delivered: 128,
+            pdus_crc_failed: 0,
+            verify_failures: 0,
+        }
+    );
+    assert_eq!(
+        reliable,
+        Reliable {
+            retransmits: 193,
+            gave_up: 0,
+            retrans_ticks: 256,
         }
     );
 }

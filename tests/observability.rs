@@ -148,6 +148,24 @@ fn event_queue_scheduling_is_registry_visible() {
         sim.queue.total_pushed(),
         "engine.events.scheduled must mirror EventQueue::total_pushed"
     );
+
+    // The quick receive bench: events are scheduled, and the cell slab
+    // arena is live on this path — cells were recycled through the free
+    // list, not leaked and reallocated.
+    let mut cfg = TestbedConfig::ds5000_200_udp();
+    cfg.msg_size = 16 * 1024;
+    cfg.messages = 8;
+    cfg.warmup = 2;
+    let mut sim = osiris::Scenario::RxBench.launch(cfg);
+    while !sim.model.done && sim.step() {}
+    assert!(sim.model.done, "rx bench did not complete");
+    assert_eq!(sim.model.verify_failures, 0);
+    let snap = sim.model.snapshot();
+    assert!(snap.counter("engine.events.scheduled") > 0);
+    assert!(
+        snap.counter("cells.slab_recycled") > 0,
+        "expected slab recycling on the receive path"
+    );
 }
 
 #[test]
