@@ -188,14 +188,21 @@ impl Switch {
     /// without retagging cells with per-lane transit VCIs.
     ///
     /// # Panics
-    /// Panics if any port of the block is out of range.
+    /// Panics if any port of the block is out of range, or if `vci` is
+    /// already routed to a different port block: a second connection on
+    /// the same VCI would silently take over the first one's cells.
     pub fn route_group(&mut self, vci: Vci, base: usize, lanes: usize) {
         assert!(
             base + lanes <= self.spec.ports,
             "port block {base}..{} out of range",
             base + lanes
         );
-        self.lane_routes.insert(vci, base);
+        let routed = *self.lane_routes.entry(vci).or_insert(base);
+        assert!(
+            routed == base,
+            "VCI {} is already routed to port block {routed}, not {base}",
+            vci.0
+        );
     }
 
     /// The installed port-block base for `vci`, if any — the routing
@@ -436,6 +443,8 @@ mod tests {
         // VCI 101 → ports 4..8, no per-lane transit retagging needed.
         sw.route_group(Vci(100), 0, 4);
         sw.route_group(Vci(101), 4, 4);
+        // Routing a VCI again to its own block changes nothing.
+        sw.route_group(Vci(100), 0, 4);
         for lane in 0..4usize {
             let (p0, _) = sw
                 .forward_on_lane(SimTime::ZERO, &cell(100, 0), lane)

@@ -12,7 +12,12 @@
 //! * The quick Figure-2 receive bench — real events through the real
 //!   dispatcher, with the slab cell arena and interned timeline keys on
 //!   the path. Its events/sec headline guards the end-to-end hot path,
-//!   not just the queue in isolation.
+//!   not just the queue in isolation; its wall time is also split into
+//!   the build (`Scenario::launch`) and the run.
+//!
+//! It also times building a 256-node `ManyPairs { pairs: 128 }` fabric,
+//! which guards the per-node build cost (boot, board set-up and the
+//! receive-buffer carving) against a return of per-frame scans.
 //!
 //! Timing is wall-clock and therefore noisy; CI compares with a
 //! generous threshold.
@@ -52,30 +57,56 @@ fn hold_model(pending: usize, ops: u64) -> f64 {
     ops as f64 / secs
 }
 
-/// The receive bench wall-clock, best of three runs (least scheduler
-/// noise): returns `(events_per_sec, wall_ms, events)`.
-fn rx_bench_wall(messages: u64) -> (f64, f64, u64) {
-    let mut best: Option<(f64, f64, u64)> = None;
+/// The receive bench's wall-clock times, each the best of three runs
+/// (least scheduler noise).
+struct RxBenchWall {
+    events: u64,
+    wall_ms: f64,
+    build_ms: f64,
+    run_ms: f64,
+}
+
+fn rx_bench_wall(messages: u64) -> RxBenchWall {
+    let mut best = RxBenchWall {
+        events: 0,
+        wall_ms: f64::MAX,
+        build_ms: f64::MAX,
+        run_ms: f64::MAX,
+    };
     for _ in 0..3 {
         let mut cfg = TestbedConfig::ds5000_200_udp();
         cfg.msg_size = 16 * 1024;
         cfg.messages = messages;
         cfg.warmup = 2;
         let t0 = Instant::now();
-        let events = {
+        let (built, events) = {
             let mut sim = osiris::Scenario::RxBench.launch(cfg);
+            let built = t0.elapsed().as_secs_f64();
             sim.model.meter = osiris::sim::stats::ThroughputMeter::new(2);
             while !sim.model.done && sim.step() {}
             assert!(sim.model.done, "rx bench did not complete");
             assert_eq!(sim.model.verify_failures, 0);
-            sim.queue.total_pushed()
+            (built, sim.queue.total_pushed())
         };
         let secs = t0.elapsed().as_secs_f64();
-        if best.is_none_or(|(_, ms, _)| secs * 1e3 < ms) {
-            best = Some((events as f64 / secs, secs * 1e3, events));
-        }
+        best.events = events;
+        best.wall_ms = best.wall_ms.min(secs * 1e3);
+        best.build_ms = best.build_ms.min(built * 1e3);
+        best.run_ms = best.run_ms.min((secs - built) * 1e3);
     }
-    best.expect("three runs")
+    best
+}
+
+/// Wall-clock milliseconds to build `ManyPairs { pairs }` with the
+/// default DECstation configuration, best of three.
+fn many_pairs_build_ms(pairs: usize) -> f64 {
+    (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            let _tb = osiris::Scenario::ManyPairs { pairs }.build(TestbedConfig::ds5000_200_udp());
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::MAX, f64::min)
 }
 
 fn main() {
@@ -89,7 +120,10 @@ fn main() {
 
     // The receive bench runs first: after the hold passes free their
     // ~24 MB heaps, the allocator's state roughly doubles its wall time.
-    let (rx_eps, rx_ms, rx_events) = rx_bench_wall(messages);
+    let rx = rx_bench_wall(messages);
+    let (rx_ms, rx_events) = (rx.wall_ms, rx.events);
+    let rx_eps = rx_events as f64 / (rx_ms / 1e3);
+    let build_128_ms = many_pairs_build_ms(128);
 
     // Best of two passes — same noise treatment as the micro harness
     // (report the least-disturbed measurement).
@@ -114,6 +148,9 @@ fn main() {
             Better::Higher,
         );
         snap.headline("rx_bench_wall_ms", rx_ms, "ms", Better::Lower);
+        snap.headline("rx_bench_build_ms", rx.build_ms, "ms", Better::Lower);
+        snap.headline("rx_bench_run_ms", rx.run_ms, "ms", Better::Lower);
+        snap.headline("many_pairs_128_build_ms", build_128_ms, "ms", Better::Lower);
         snap.push_result(&r);
         std::fs::write(&path, snap.to_json()).expect("write bench snapshot");
         eprintln!("wrote {path}");
@@ -125,4 +162,9 @@ fn main() {
     println!("event engine, hold model ({pending} pending, {ops} ops):");
     println!("  heap      {heap:>12.0} events/s");
     println!("quick rx bench: {rx_events} events in {rx_ms:.1} ms = {rx_eps:.0} events/s");
+    println!(
+        "  build {:.2} ms, run {:.2} ms (each best of 3)",
+        rx.build_ms, rx.run_ms
+    );
+    println!("ManyPairs{{128}} build: {build_128_ms:.1} ms (best of 3)");
 }

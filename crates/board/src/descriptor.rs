@@ -125,6 +125,8 @@ impl RingCosts {
 /// The lock-free one-reader-one-writer descriptor ring.
 #[derive(Debug, Clone)]
 pub struct DescRing {
+    /// Empty until the first push: most of a board's queue pages are
+    /// never used, and an empty ring never indexes its slots.
     slots: Vec<Option<Descriptor>>,
     head: u32,
     tail: u32,
@@ -138,7 +140,7 @@ impl DescRing {
     pub fn new(size: u32) -> Self {
         assert!(size >= 2, "ring needs at least 2 slots");
         DescRing {
-            slots: vec![None; size as usize],
+            slots: Vec::new(),
             head: 0,
             tail: 0,
             size,
@@ -185,6 +187,9 @@ impl DescRing {
     pub fn push(&mut self, d: Descriptor) -> Result<RingCosts, RingFull> {
         if self.is_full() {
             return Err(RingFull);
+        }
+        if self.slots.is_empty() {
+            self.slots = vec![None; self.size as usize];
         }
         self.slots[self.head as usize] = Some(d);
         self.head = (self.head + 1) % self.size;
@@ -328,6 +333,31 @@ mod tests {
             assert_eq!(r.pop().unwrap().0.len, round + 1000);
         }
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn untouched_ring_is_empty_and_wraps_after_first_push() {
+        let mut r = DescRing::new(4);
+        assert!(r.is_empty());
+        assert_eq!(r.len(), 0);
+        assert!(r.peek().is_none());
+        assert_eq!(r.iter_live().count(), 0);
+        assert!(r.pop().is_none());
+        assert!(r.at_most_half_full());
+        for round in 0..10u32 {
+            for k in 0..3 {
+                r.push(d(round * 10 + k)).unwrap();
+            }
+            assert!(r.is_full());
+            let live: Vec<u32> = r.iter_live().map(|x| x.len).collect();
+            assert_eq!(live, [round * 10, round * 10 + 1, round * 10 + 2]);
+            assert_eq!(r.peek().unwrap().len, round * 10);
+            for k in 0..3 {
+                assert_eq!(r.pop().unwrap().0.len, round * 10 + k);
+            }
+            assert!(r.is_empty());
+        }
+        assert_eq!(r.high_water(), 3);
     }
 
     #[test]

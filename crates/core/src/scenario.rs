@@ -465,6 +465,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "VCI 200 is already routed")]
+    fn incast_past_100_senders_rejects_the_vci_collision() {
+        // Sender 100's forward VCI (100 + 100) is sender 0's ack VCI.
+        Scenario::Incast { senders: 101 }.build(TestbedConfig::ds5000_200_udp());
+    }
+
+    #[test]
     fn many_pairs_streams_all_complete() {
         let mut cfg = TestbedConfig::ds5000_200_udp();
         cfg.msg_size = 4 * 1024;

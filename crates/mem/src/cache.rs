@@ -108,8 +108,9 @@ impl CacheAccess {
 pub struct DataCache {
     spec: CacheSpec,
     /// Per-line tag: the line number (`addr / line_size`) resident in that
-    /// slot, or `None` for an invalid line.
-    tags: Vec<Option<u64>>,
+    /// slot plus one, or 0 for an invalid line. Zero-initialised, so an
+    /// all-invalid cache costs no writes to build.
+    tags: Vec<u64>,
     /// Per-line data copies, `spec.size` bytes.
     data: Vec<u8>,
 }
@@ -130,7 +131,7 @@ impl DataCache {
         assert!(spec.line_size.is_power_of_two() && spec.line_size >= 4);
         assert!(spec.size.is_multiple_of(spec.line_size));
         DataCache {
-            tags: vec![None; spec.lines()],
+            tags: vec![0; spec.lines()],
             data: vec![0; spec.size],
             spec,
         }
@@ -152,7 +153,7 @@ impl DataCache {
     /// True if the line containing `addr` is resident.
     pub fn probe(&self, addr: PhysAddr) -> bool {
         let ln = self.line_no(addr);
-        self.tags[self.slot_of_line(ln)] == Some(ln)
+        self.tags[self.slot_of_line(ln)] == ln + 1
     }
 
     /// CPU read of `buf.len()` bytes at `addr` through the cache.
@@ -172,7 +173,7 @@ impl DataCache {
             let slot = self.slot_of_line(ln);
             let slot_base = slot * self.spec.line_size;
 
-            if self.tags[slot] == Some(ln) {
+            if self.tags[slot] == ln + 1 {
                 // Hit: serve from the cache copy.
                 let src = &self.data[slot_base + off_in_line..slot_base + off_in_line + take];
                 buf[pos..pos + take].copy_from_slice(src);
@@ -186,7 +187,7 @@ impl DataCache {
                 // previous occupant of the slot.
                 let line_bytes = mem.read(PhysAddr(line_base), self.spec.line_size);
                 self.data[slot_base..slot_base + self.spec.line_size].copy_from_slice(line_bytes);
-                self.tags[slot] = Some(ln);
+                self.tags[slot] = ln + 1;
                 buf[pos..pos + take].copy_from_slice(
                     &self.data[slot_base + off_in_line..slot_base + off_in_line + take],
                 );
@@ -227,8 +228,8 @@ impl DataCache {
         let mut words = 0;
         for ln in first..=last {
             let slot = self.slot_of_line(ln);
-            if self.tags[slot] == Some(ln) {
-                self.tags[slot] = None;
+            if self.tags[slot] == ln + 1 {
+                self.tags[slot] = 0;
             }
             // The invalidate instruction pays per word regardless of
             // whether the line was resident.
@@ -239,12 +240,12 @@ impl DataCache {
 
     /// Invalidates the entire cache (the DECstation's cache-swap trick).
     pub fn invalidate_all(&mut self) {
-        self.tags.fill(None);
+        self.tags.fill(0);
     }
 
     /// Number of currently resident lines (diagnostics).
     pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|t| t.is_some()).count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 
     fn refresh_resident(&mut self, addr: PhysAddr, data: &[u8]) {
@@ -257,7 +258,7 @@ impl DataCache {
             let off = (a - line_base) as usize;
             let take = (self.spec.line_size - off).min(data.len() - pos);
             let slot = self.slot_of_line(ln);
-            if self.tags[slot] == Some(ln) {
+            if self.tags[slot] == ln + 1 {
                 let base = slot * self.spec.line_size;
                 self.data[base + off..base + off + take].copy_from_slice(&data[pos..pos + take]);
             }
@@ -389,6 +390,26 @@ mod tests {
         c.read(&m, PhysAddr(0), &mut buf);
         assert!(c.resident_lines() > 0);
         c.invalidate_all();
+        assert_eq!(c.resident_lines(), 0);
+    }
+
+    #[test]
+    fn line_zero_is_not_the_invalid_tag() {
+        // Line 0 lives at `PhysAddr(0)`; its stored tag must differ from
+        // the invalid marker.
+        let (mut c, mut m) = setup(false);
+        assert!(!c.probe(PhysAddr(0)), "a new cache holds nothing");
+        m.write(PhysAddr(0), &[5u8; 16]);
+        let mut buf = [0u8; 16];
+        assert_eq!(c.read(&m, PhysAddr(0), &mut buf).missed_lines, 1);
+        assert!(c.probe(PhysAddr(0)));
+        assert_eq!(c.resident_lines(), 1);
+        let a = c.read(&m, PhysAddr(0), &mut buf);
+        assert_eq!((a.hit_bytes, a.missed_lines), (16, 0));
+        // The alias of line 0 misses, and invalidating line 0 empties it.
+        assert!(!c.probe(PhysAddr(1024)));
+        c.invalidate(PhysAddr(0), 16);
+        assert!(!c.probe(PhysAddr(0)));
         assert_eq!(c.resident_lines(), 0);
     }
 

@@ -126,14 +126,21 @@ pub enum AllocPolicy {
     BestEffortContiguous,
 }
 
+/// Marks a frame that is not on the free list in [`FrameAllocator`]'s
+/// per-frame index.
+const IN_USE: u32 = u32::MAX;
+
 /// Allocates page frames from a [`PhysMemory`].
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
-    free: Vec<usize>,
-    in_use: Vec<bool>,
+    /// Free frames; allocation pops from the back.
+    free: Vec<u32>,
+    /// Per frame: its position in `free`, or [`IN_USE`]. Lets a chosen
+    /// frame leave the free list in O(1) with the same `swap_remove` a
+    /// search would do, so the free-list order stays the same.
+    pos: Vec<u32>,
     policy: AllocPolicy,
     page_size: usize,
-    total_frames: usize,
     allocations: u64,
     contiguous_hits: u64,
 }
@@ -141,9 +148,15 @@ pub struct FrameAllocator {
 impl FrameAllocator {
     /// An allocator over all frames of `mem` using `policy`. `seed` drives
     /// the deterministic shuffle used by [`AllocPolicy::Scattered`].
+    ///
+    /// # Panics
+    /// Panics if `mem` has `u32::MAX` frames or more.
     pub fn new(mem: &PhysMemory, policy: AllocPolicy, seed: u64) -> Self {
-        let n = mem.frames();
-        let mut free: Vec<usize> = (0..n).collect();
+        let n = u32::try_from(mem.frames())
+            .ok()
+            .filter(|&n| n < IN_USE)
+            .expect("frame count must fit below u32::MAX");
+        let mut free: Vec<u32> = (0..n).collect();
         if matches!(
             policy,
             AllocPolicy::Scattered | AllocPolicy::BestEffortContiguous
@@ -153,12 +166,15 @@ impl FrameAllocator {
         }
         // Pop from the back; reverse so Sequential pops ascending.
         free.reverse();
+        let mut pos = vec![0; free.len()];
+        for (i, &f) in (0u32..).zip(&free) {
+            pos[f as usize] = i;
+        }
         FrameAllocator {
             free,
-            in_use: vec![false; n],
+            pos,
             policy,
             page_size: mem.page_size(),
-            total_frames: n,
             allocations: 0,
             contiguous_hits: 0,
         }
@@ -196,8 +212,8 @@ impl FrameAllocator {
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             let f = self.free.pop().expect("checked above");
-            self.in_use[f] = true;
-            out.push(f);
+            self.pos[f as usize] = IN_USE;
+            out.push(f as usize);
         }
         Some(out)
     }
@@ -225,9 +241,9 @@ impl FrameAllocator {
     /// Panics on double free.
     pub fn free(&mut self, frames: &[usize]) {
         for &f in frames {
-            assert!(self.in_use[f], "double free of frame {f}");
-            self.in_use[f] = false;
-            self.free.push(f);
+            assert!(self.pos[f] == IN_USE, "double free of frame {f}");
+            self.pos[f] = self.free.len() as u32;
+            self.free.push(f as u32);
         }
     }
 
@@ -247,21 +263,22 @@ impl FrameAllocator {
     }
 
     fn take(&mut self, frame: usize) {
-        let pos = self
-            .free
-            .iter()
-            .position(|&f| f == frame)
-            .expect("frame not free");
-        self.free.swap_remove(pos);
-        self.in_use[frame] = true;
+        let p = self.pos[frame];
+        assert!(p != IN_USE, "frame not free");
+        self.free.swap_remove(p as usize);
+        if let Some(&moved) = self.free.get(p as usize) {
+            self.pos[moved as usize] = p;
+        }
+        self.pos[frame] = IN_USE;
     }
 
     fn find_contiguous_run(&self, n: usize) -> Option<Vec<usize>> {
-        // O(frames) scan over an in-use bitmap; fine at simulation scale.
+        // O(frames) scan over the per-frame index; fine at simulation
+        // scale.
         let mut run_start = 0;
         let mut run_len = 0;
-        for f in 0..self.total_frames {
-            if self.in_use[f] {
+        for (f, &p) in self.pos.iter().enumerate() {
+            if p == IN_USE {
                 run_len = 0;
             } else {
                 if run_len == 0 {
@@ -280,6 +297,176 @@ impl FrameAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The allocator as it was before the per-frame index: a linear
+    /// `position` scan finds each taken frame and a `Vec<bool>` marks
+    /// frames in use. The oracle for [`FrameAllocator`].
+    struct LinearAllocator {
+        free: Vec<usize>,
+        in_use: Vec<bool>,
+        policy: AllocPolicy,
+    }
+
+    impl LinearAllocator {
+        fn new(mem: &PhysMemory, policy: AllocPolicy, seed: u64) -> Self {
+            let n = mem.frames();
+            let mut free: Vec<usize> = (0..n).collect();
+            if policy != AllocPolicy::Sequential {
+                SimRng::new(seed).shuffle(&mut free);
+            }
+            free.reverse();
+            LinearAllocator {
+                free,
+                in_use: vec![false; n],
+                policy,
+            }
+        }
+
+        fn alloc(&mut self, n: usize) -> Option<Vec<usize>> {
+            if n == 0 {
+                return Some(Vec::new());
+            }
+            if self.free.len() < n {
+                return None;
+            }
+            if self.policy == AllocPolicy::BestEffortContiguous {
+                if let Some(run) = self.find_contiguous_run(n) {
+                    for &f in &run {
+                        self.take(f);
+                    }
+                    return Some(run);
+                }
+            }
+            let out: Vec<usize> = (0..n).map(|_| self.free.pop().unwrap()).collect();
+            for &f in &out {
+                self.in_use[f] = true;
+            }
+            Some(out)
+        }
+
+        fn alloc_contiguous(&mut self, n: usize) -> Option<Vec<usize>> {
+            if n == 0 {
+                return Some(Vec::new());
+            }
+            let run = self.find_contiguous_run(n)?;
+            for &f in &run {
+                self.take(f);
+            }
+            Some(run)
+        }
+
+        fn free(&mut self, frames: &[usize]) {
+            for &f in frames {
+                assert!(self.in_use[f], "double free of frame {f}");
+                self.in_use[f] = false;
+                self.free.push(f);
+            }
+        }
+
+        fn take(&mut self, frame: usize) {
+            let pos = self
+                .free
+                .iter()
+                .position(|&f| f == frame)
+                .expect("frame not free");
+            self.free.swap_remove(pos);
+            self.in_use[frame] = true;
+        }
+
+        fn find_contiguous_run(&self, n: usize) -> Option<Vec<usize>> {
+            let mut run_start = 0;
+            let mut run_len = 0;
+            for f in 0..self.in_use.len() {
+                if self.in_use[f] {
+                    run_len = 0;
+                } else {
+                    if run_len == 0 {
+                        run_start = f;
+                    }
+                    run_len += 1;
+                    if run_len == n {
+                        return Some((run_start..run_start + n).collect());
+                    }
+                }
+            }
+            None
+        }
+    }
+
+    const POLICIES: [AllocPolicy; 3] = [
+        AllocPolicy::Sequential,
+        AllocPolicy::Scattered,
+        AllocPolicy::BestEffortContiguous,
+    ];
+
+    /// The panic message of `f`, if it panics.
+    fn panic_of(f: impl FnOnce()) -> Option<String> {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+        Some(match err.downcast::<String>() {
+            Ok(s) => *s,
+            Err(e) => e.downcast_ref::<&str>().expect("str panic").to_string(),
+        })
+    }
+
+    #[test]
+    fn indexed_allocator_matches_linear_scan_oracle() {
+        let m = PhysMemory::new(256 * 4096, 4096);
+        for policy in POLICIES {
+            for seed in 0..8u64 {
+                let mut new = FrameAllocator::new(&m, policy, seed);
+                let mut old = LinearAllocator::new(&m, policy, seed);
+                let mut rng = SimRng::new(0xF4A3 ^ seed);
+                // Allocations still held, freed in a seeded order.
+                let mut held: Vec<Vec<usize>> = Vec::new();
+                for step in 0..600 {
+                    let n = rng.gen_range(20) as usize;
+                    let (a, b) = match rng.gen_range(3) {
+                        0 => (new.alloc(n), old.alloc(n)),
+                        1 => (new.alloc_contiguous(n), old.alloc_contiguous(n)),
+                        _ if !held.is_empty() => {
+                            let frames =
+                                held.swap_remove(rng.gen_range(held.len() as u64) as usize);
+                            new.free(&frames);
+                            old.free(&frames);
+                            (None, None)
+                        }
+                        _ => (None, None),
+                    };
+                    assert_eq!(a, b, "{policy:?} seed {seed} step {step}");
+                    assert_eq!(new.free_frames(), old.free.len());
+                    held.extend(a.filter(|f| !f.is_empty()));
+                }
+                assert_eq!(
+                    new.free.iter().map(|&f| f as usize).collect::<Vec<_>>(),
+                    old.free,
+                    "{policy:?} seed {seed}: free-list order"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_allocator_panics_like_the_oracle() {
+        let m = mem();
+        for policy in POLICIES {
+            let mut new = FrameAllocator::new(&m, policy, 5);
+            let mut old = LinearAllocator::new(&m, policy, 5);
+            let frames = new.alloc(3).unwrap();
+            assert_eq!(old.alloc(3).unwrap(), frames);
+            let (f, first) = (frames[1], &frames[..1]);
+            new.free(first);
+            old.free(first);
+            let double_free = panic_of(|| new.free(first));
+            assert_eq!(double_free, panic_of(|| old.free(first)), "{policy:?}");
+            assert_eq!(
+                double_free,
+                Some(format!("double free of frame {}", first[0]))
+            );
+            let not_free = panic_of(|| new.take(f));
+            assert_eq!(not_free, panic_of(|| old.take(f)), "{policy:?}");
+            assert_eq!(not_free.as_deref(), Some("frame not free"));
+        }
+    }
 
     fn mem() -> PhysMemory {
         PhysMemory::new(64 * 4096, 4096)

@@ -10,6 +10,11 @@
 //! simulated results were captured before duplicate `RetransTick`s
 //! were suppressed, so they must not move, while the tick and event
 //! counts pin the suppression itself.
+//!
+//! The build-layout pins cover node construction: each built node's
+//! receive-buffer pool and the frames its allocator hands out next were
+//! captured before the frame allocator gained its per-frame index, so a
+//! build change that moves any simulated address moves a digest.
 
 use osiris::atm::sar::ReassemblyMode;
 use osiris::board::dma::DmaMode;
@@ -166,5 +171,77 @@ fn sixteen_sender_reliable_ecn_incast() {
             gave_up: 0,
             retrans_ticks: 256,
         }
+    );
+}
+
+/// FNV-1a over a stream of words: a compact, order-sensitive digest.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// One digest per built node: every free-ring descriptor (page, address,
+/// length) in ring order, then the next 16 frames a clone of the node's
+/// frame allocator hands out. The receive-buffer pool carving, the
+/// message region and the allocator's free-list order all feed it.
+fn build_layout(scenario: Scenario, cfg: TestbedConfig) -> Vec<u64> {
+    let tb = scenario.build(cfg);
+    tb.nodes
+        .iter()
+        .map(|node| {
+            let ring = (0..osiris::board::QUEUE_PAGES).flat_map(|page| {
+                node.rx
+                    .free_ring(page)
+                    .iter_live()
+                    .flat_map(move |d| [page as u64, d.addr.0, d.len as u64])
+            });
+            let mut alloc = node.host.alloc.clone();
+            let next = alloc.alloc(16).expect("16 free frames");
+            fnv(ring.chain(next.into_iter().map(|f| f as u64)))
+        })
+        .collect()
+}
+
+#[test]
+fn incast96_build_layout() {
+    // The incast96 benchmark workload's configuration at seed 42.
+    let mut cfg = TestbedConfig::ds5000_200_udp();
+    cfg.msg_size = 1024;
+    cfg.messages = 16;
+    cfg.warmup = 0;
+    cfg.window = 8;
+    cfg.reliable = true;
+    cfg.transport = TransportMode::SelectiveRepeat;
+    cfg.cc = CcScheme::Ecn;
+    cfg.reassembly = ReassemblyMode::FourWay { lanes: 4 };
+    cfg.reassembly_timeout = Some(SimDuration::from_us(1000));
+    cfg.sim.faults.switch_max_queue_cells = Some(512);
+    cfg.ecn_threshold_cells = Some(128);
+    cfg.seed = 42;
+    let nodes = build_layout(Scenario::Incast { senders: 96 }, cfg);
+    assert_eq!(nodes.len(), 97);
+    assert_eq!(
+        fnv(nodes.iter().copied()),
+        0x6b53_7379_0600_b1d3,
+        "per-node digests: {nodes:#x?}"
+    );
+}
+
+#[test]
+fn rx_stream_build_layout() {
+    // The rx_stream benchmark workload's configuration at seed 42.
+    let mut cfg = TestbedConfig::dec3000_600_udp();
+    cfg.msg_size = 256 * 1024;
+    cfg.messages = 64;
+    cfg.warmup = 2;
+    cfg.rx_dma = DmaMode::DoubleCell;
+    cfg.udp_checksum = true;
+    cfg.seed = 42;
+    assert_eq!(
+        build_layout(Scenario::RxBench, cfg),
+        vec![0xefba_0cdb_1801_a3f7]
     );
 }
